@@ -14,7 +14,6 @@ from .errors import (
     InvalidSyzygyError,
     ModelInconsistencyError,
     RollingFactorsInputError,
-    SampleExhaustedError,
     SizeLimitError,
     SyzlabError,
     TwistedSectionError,
@@ -87,7 +86,6 @@ __all__ = [
     "ModelInconsistencyError",
     "RollingFactorsInputError",
     "RollingWitness",
-    "SampleExhaustedError",
     "ScrollFrame",
     "Section2H",
     "SizeLimitError",

@@ -1,8 +1,8 @@
 """Exception types raised by the library.
 
 Everything derives from SyzlabError so callers can catch broadly; the
-subclasses exist because several of them drive control flow (retry loops,
-sample growth, report truncation).
+subclasses exist because several of them drive control flow (retry loops
+over random draws, report truncation).
 """
 
 
@@ -40,10 +40,6 @@ class GenericityExhaustedError(SyzlabError):
 
 class ModelInconsistencyError(SyzlabError):
     """Stored model data contradicts an invariant it is supposed to satisfy."""
-
-
-class SampleExhaustedError(SyzlabError):
-    """Point sampling could not stabilize an interpolation kernel."""
 
 
 class InvalidSyzygyError(SyzlabError):

@@ -52,6 +52,14 @@ def trim(f: list[int]) -> list[int]:
     return f
 
 
+def peval(f: list[int], u: int, p: int) -> int:
+    """f(u) mod p by Horner's rule."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * u + c) % p
+    return acc
+
+
 def pmul(f: list[int], g: list[int], p: int) -> list[int]:
     if not f or not g:
         return []

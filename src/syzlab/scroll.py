@@ -31,10 +31,9 @@ from .errors import (
     GenericityExhaustedError,
     ModelInconsistencyError,
     RollingFactorsInputError,
-    SampleExhaustedError,
     TwistedSectionError,
 )
-from .gfpoly import pmul, roots, sqrt_mod, trim
+from .gfpoly import peval, pmul, roots, sqrt_mod, trim
 from .linalg import (
     DEFAULT_PRIME,
     Subspace,
@@ -217,20 +216,6 @@ def section_dim(frame: ScrollFrame, twist: int) -> int:
     return sum(section_dims(frame, twist))
 
 
-def section_space(frame: ScrollFrame, twist: int) -> list[Section2H]:
-    """Monomial basis x_i x_j s^alpha t^(deg-alpha), pair-major, alpha ascending."""
-    if twist < 0:
-        raise ValueError(f"twist must be non-negative, got {twist}")
-    dims = section_dims(frame, twist)
-    basis = []
-    for n, length in enumerate(dims):
-        for alpha in range(length):
-            blocks = [np.zeros(d, dtype=np.int64) for d in dims]
-            blocks[n][alpha] = 1
-            basis.append(Section2H(frame, twist, tuple(b for b in blocks)))
-    return basis
-
-
 def section_from_coords(frame: ScrollFrame, twist: int, coords) -> Section2H:
     dims = section_dims(frame, twist)
     vec = np.asarray(coords, dtype=np.int64)
@@ -243,12 +228,6 @@ def section_from_coords(frame: ScrollFrame, twist: int, coords) -> Section2H:
         blocks.append(vec[pos : pos + d].copy())
         pos += d
     return Section2H(frame, twist, tuple(blocks))
-
-
-def section_coords(sec: Section2H) -> np.ndarray:
-    if not sec.blocks:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate([b for b in sec.blocks] or [np.zeros(0, dtype=np.int64)])
 
 
 def random_section(
@@ -595,18 +574,11 @@ def _conic_fibre_points(
                 quartic = padded
     for u in roots(quartic, p, rng):
         pt = np.array(
-            [_eval_poly(coord_polys[c], u, p) for c in range(3)], dtype=np.int64
+            [peval(coord_polys[c], u, p) for c in range(3)], dtype=np.int64
         )
         push(pt)
     push(second_point(d1))  # direction "u = infinity"
     return found
-
-
-def _eval_poly(poly: list[int], u: int, p: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * u + c) % p
-    return acc
 
 
 def fourgonal_point_sample(

@@ -2,10 +2,11 @@
 
 Three families: cones over elliptic normal curves (with the bielliptic
 curves they carry), Del Pezzo surfaces from plane cubics through 10-g
-base points, and the cubic Veronese at g = 10.  All ideals are obtained
-by exact interpolation: evaluate every degree-2 monomial at sampled
-points of the variety and take the kernel, growing the sample until the
-kernel stops moving.
+base points, and the cubic Veronese at g = 10.  Each surface ideal is the
+exact kernel I_2 = ker(Sym^2 H^0(L) -> H^0(L^2)) of multiplying the
+coordinate functions pairwise, which is all of I_2 because these
+embeddings are projectively normal.  Witness points are best effort: a
+model stores whatever GF(p)-points its sampler finds, or None.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    GenericityExhaustedError,
-    ModelInconsistencyError,
-    SampleExhaustedError,
-)
-from .gfpoly import pmul, roots, sqrt_mod, trim
+from .errors import GenericityExhaustedError, ModelInconsistencyError
+from .gfpoly import peval, pmul, roots, sqrt_mod, trim
 from .linalg import (
     DEFAULT_PRIME,
     Subspace,
@@ -45,7 +42,6 @@ KIND_DELPEZZO = "DelPezzo"
 KIND_VERONESE = "Veronese"
 
 MAX_REDRAWS = 8
-MAX_GROWTH_ROUNDS = 8
 
 
 @dataclass(frozen=True)
@@ -85,17 +81,17 @@ class WeierstrassCurve:
 def weierstrass_points(
     curve: WeierstrassCurve, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """count distinct affine points (x, y), deterministic given the rng state."""
+    """Up to count distinct affine points (x, y), deterministic given the rng state.
+
+    Returns fewer, possibly none, when the attempt budget runs out first,
+    as it must over small fields with fewer than count points.
+    """
     p = curve.prime
     pts: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    attempts = 0
-    while len(pts) < count:
-        attempts += 1
-        if attempts > 64 * count + 256:
-            raise SampleExhaustedError(
-                f"found only {len(pts)} of {count} requested curve points"
-            )
+    for _ in range(64 * count + 256):
+        if len(pts) >= count:
+            break
         x = int(rng.integers(0, p))
         rhs = (pow(x, 3, p) + curve.a4 * x + curve.a6) % p
         y = sqrt_mod(rhs, p)
@@ -105,7 +101,7 @@ def weierstrass_points(
             if cand not in seen and len(pts) < count:
                 seen.add(cand)
                 pts.append(cand)
-    return np.array(pts, dtype=np.int64)
+    return np.array(pts, dtype=np.int64).reshape(-1, 2)
 
 
 def pole_order_basis(n: int) -> list[tuple[int, int]]:
@@ -138,32 +134,17 @@ def embed_points(curve: WeierstrassCurve, n: int, affine_pts: np.ndarray) -> np.
     return out
 
 
-def interpolation_kernel(
-    point_gen: Callable[[int], np.ndarray],
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    ambient_dim: int,
-    prime: int,
-) -> tuple[Subspace, np.ndarray]:
-    """Kernel of the evaluation matrix, grown until stable.
+def _quadric_kernel(
+    ring: GradedRing, product: Callable[[int, int], np.ndarray]
+) -> Subspace:
+    """Quadrics sum c_m Z_u Z_v with sum c_m f_u f_v = 0, for Z_u -> f_u.
 
-    Starts with 3x the monomial count and adds 25% batches until the kernel
-    is unchanged by the last batch; callers' tests additionally verify that
-    a full doubling leaves it fixed.
+    ``product(u, v)`` gives f_u * f_v in a fixed basis of the target space;
+    the kernel of Sym^2 H^0(L) -> H^0(L^2) is the exact quadric ideal.
     """
-    pts = point_gen(3 * ambient_dim)
-    rows = evaluate(pts)
-    ker = kernel_basis(rows, prime)
-    for _ in range(MAX_GROWTH_ROUNDS):
-        extra = point_gen(max(1, (len(pts) + 3) // 4))
-        pts = np.vstack([pts, extra])
-        rows = np.vstack([rows, evaluate(extra)])
-        grown = kernel_basis(rows, prime)
-        if grown == ker:
-            return ker, pts
-        ker = grown
-    raise SampleExhaustedError(
-        f"interpolation kernel failed to stabilize after {MAX_GROWTH_ROUNDS} growth rounds"
-    )
+    variables = np.arange(ring.num_vars)
+    rows = [product(*np.repeat(variables, e)) for e in ring.exponents(2)]
+    return kernel_basis(np.array(rows, dtype=np.int64).T, ring.prime)
 
 
 # -- elliptic normal curves and cones ----------------------------------------
@@ -174,48 +155,37 @@ def elliptic_normal_ideal(
 ) -> tuple[Subspace, np.ndarray]:
     """Quadrics through the degree-n elliptic normal curve in P^{n-1}.
 
-    Returns (quadrics, embedded sample points); the quadric count is
-    n(n-3)/2, zero for the plane cubic n = 3.
+    Returns (quadrics, embedded witness points); the quadric count is
+    n(n-3)/2, zero for the plane cubic n = 3.  Over small fields there may
+    be fewer than the usual 24 witnesses, or none.
     """
     if n < 3:
         raise ValueError(f"degree must be >= 3, got {n}")
-    rng = np.random.default_rng(seed)
-    p = curve.prime
-    ring = GradedRing(n, p)
-    seen: set[tuple[int, int]] = set()
+    basis = pole_order_basis(n)
+    target = {e: k for k, e in enumerate(pole_order_basis(2 * n))}
 
-    def fresh_points(count: int) -> np.ndarray:
-        batch: list[tuple[int, int]] = []
-        attempts = 0
-        while len(batch) < count:
-            attempts += 1
-            if attempts > 64 * count + 256:
-                raise SampleExhaustedError(
-                    "ran out of fresh curve points during interpolation"
-                )
-            x = int(rng.integers(0, p))
-            rhs = (pow(x, 3, p) + curve.a4 * x + curve.a6) % p
-            y = sqrt_mod(rhs, p)
-            if y is None:
-                continue
-            for cand in ((x, y), (x, (-y) % p)):
-                if cand not in seen and len(batch) < count:
-                    seen.add(cand)
-                    batch.append(cand)
-        return embed_points(curve, n, np.array(batch, dtype=np.int64))
+    def product(u: int, v: int) -> np.ndarray:
+        i = basis[u][0] + basis[v][0]
+        j = basis[u][1] + basis[v][1]
+        row = np.zeros(len(target), dtype=np.int64)
+        if j < 2:
+            row[target[(i, j)]] = 1
+        else:  # x^i y^2 = x^(i+3) + a4 x^(i+1) + a6 x^i
+            row[[target[(i + 3, 0)], target[(i + 1, 0)], target[(i, 0)]]] = (
+                1,
+                curve.a4,
+                curve.a6,
+            )
+        return row
 
-    quadrics, pts = interpolation_kernel(
-        fresh_points,
-        lambda q: ring.evaluate_monomials(2, q),
-        ring.dim(2),
-        p,
-    )
+    quadrics = _quadric_kernel(GradedRing(n, curve.prime), product)
     expected = n * (n - 3) // 2
     if quadrics.dim != expected:
         raise ModelInconsistencyError(
             f"degree-{n} elliptic embedding gave {quadrics.dim} quadrics, expected {expected}"
         )
-    return quadrics, pts
+    rng = np.random.default_rng(seed)
+    return quadrics, embed_points(curve, n, weierstrass_points(curve, 24, rng))
 
 
 def _reindex_to_cone(quadrics: Subspace, small: GradedRing, big: GradedRing) -> Subspace:
@@ -232,11 +202,14 @@ def _reindex_to_cone(quadrics: Subspace, small: GradedRing, big: GradedRing) -> 
 def _cone_points(
     embedded: np.ndarray, count: int, prime: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Points lam*(vertex) + mu*(0, curve point); the vertex comes first."""
+    """Points lam*(vertex) + mu*(0, curve point); the vertex comes first.
+
+    Only the vertex when there is no curve point to rule through.
+    """
     g = embedded.shape[1] + 1
-    out = np.zeros((count, g), dtype=np.int64)
+    out = np.zeros((count if len(embedded) else 1, g), dtype=np.int64)
     out[0, 0] = 1  # the vertex itself
-    for row in range(1, count):
+    for row in range(1, len(out)):
         base = embedded[int(rng.integers(0, len(embedded)))]
         lam = int(rng.integers(0, prime))
         mu = int(rng.integers(1, prime))
@@ -342,12 +315,17 @@ def _bielliptic_points(
     ring: GradedRing,
     count: int,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Points of S cap {Q = 0}: solve Q quadratically along each cone ruling."""
+) -> Optional[np.ndarray]:
+    """Points of S cap {Q = 0}: solve Q quadratically along each cone ruling.
+
+    None when no GF(p)-point turns up.
+    """
     p = ring.prime
     g = ring.num_vars
     assert surface.sample_points is not None
     curve_pts = surface.sample_points[1:]  # skip the vertex
+    if len(curve_pts) == 0:
+        return None
     pts: list[np.ndarray] = []
     for _ in range(8 * count):
         if len(pts) >= count:
@@ -371,9 +349,7 @@ def _bielliptic_points(
             pt = (lam * line[0] + line[1]) % p
             if len(pts) < count and not any(np.array_equal(pt, q) for q in pts):
                 pts.append(pt)
-    if not pts:
-        raise SampleExhaustedError("no GF(p)-points found on the bielliptic curve")
-    return np.array(pts, dtype=np.int64)
+    return np.array(pts, dtype=np.int64) if pts else None
 
 
 # -- Del Pezzo and Veronese surfaces ------------------------------------------
@@ -398,7 +374,6 @@ def _delpezzo_surface_rng(
         raise ValueError(f"plane-cubic surfaces exist for genus 6..10, got {genus}")
     p = check_prime(prime)
     ring3 = GradedRing(3, p)
-    ring_g = GradedRing(genus, p)
     n_base = 10 - genus
     cubics: Optional[Subspace] = None
     base = np.zeros((0, 3), dtype=np.int64)
@@ -418,29 +393,18 @@ def _delpezzo_surface_rng(
         )
     assert cubics.dim == genus
 
-    def image_points(count: int) -> np.ndarray:
-        out = np.empty((count, genus), dtype=np.int64)
-        got = 0
-        attempts = 0
-        while got < count:
-            attempts += 1
-            if attempts > 64 * count + 256:
-                raise SampleExhaustedError("ran out of plane points to map")
-            q = np.array(
-                [int(rng.integers(0, p)), int(rng.integers(0, p)), 1], dtype=np.int64
-            )
-            vals = ring3.evaluate_monomials(3, q)[0] @ cubics.basis.T % p
-            if vals.any():
-                out[got] = vals
-                got += 1
-        return out
-
-    quadrics, pts = interpolation_kernel(
-        image_points,
-        lambda q: ring_g.evaluate_monomials(2, q),
-        ring_g.dim(2),
-        p,
+    cubic = [ring3.vector(3, row) for row in cubics.basis]
+    quadrics = _quadric_kernel(
+        GradedRing(genus, p), lambda u, v: ring3.multiply(cubic[u], cubic[v]).coeffs
     )
+    plane = np.hstack(
+        [
+            rng.integers(0, p, size=(4 * genus, 2), dtype=np.int64),
+            np.ones((4 * genus, 1), dtype=np.int64),
+        ]
+    )
+    images = ring3.evaluate_monomials(3, plane) @ cubics.basis.T % p
+    images = images[images.any(axis=1)]
     if quadrics.dim != comb(genus - 2, 2) - 1:
         raise ModelInconsistencyError(
             f"surface ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2) - 1}"
@@ -451,7 +415,7 @@ def _delpezzo_surface_rng(
         prime=p,
         seed=int(seed) if isinstance(seed, (int, np.integer)) else -1,
         quadrics=quadrics,
-        sample_points=pts[: 4 * genus],
+        sample_points=images if len(images) else None,
         params={"base_points": [[int(c) for c in row] for row in base]},
     )
 
@@ -502,12 +466,12 @@ def _delpezzo_curve_points(
     ring_g: GradedRing,
     count: int,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> Optional[np.ndarray]:
     """Points of S cap {Q = 0} by solving along pencils of plane lines.
 
     Restricting Q to the image of the line {x = u} gives a degree-6
     polynomial in the remaining coordinate; its GF(p) roots map to points
-    of the curve.
+    of the curve.  None when no GF(p)-point turns up.
     """
     p = ring_g.prime
     genus = surface.genus
@@ -546,21 +510,12 @@ def _delpezzo_curve_points(
                 sextic[k] = (sextic[k] + t) % p
         for v in roots(sextic, p, rng):
             img = np.array(
-                [_eval_list(poly, v, p) for poly in coord_polys], dtype=np.int64
+                [peval(poly, v, p) for poly in coord_polys], dtype=np.int64
             )
             if img.any() and len(pts) < count:
                 if not any(np.array_equal(img, q) for q in pts):
                     pts.append(img)
-    if not pts:
-        raise SampleExhaustedError("no GF(p)-points found on the curve")
-    return np.array(pts, dtype=np.int64)
-
-
-def _eval_list(poly: list[int], u: int, p: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * u + c) % p
-    return acc
+    return np.array(pts, dtype=np.int64) if pts else None
 
 
 # -- genus 5 ------------------------------------------------------------------

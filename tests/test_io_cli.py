@@ -185,6 +185,12 @@ def test_cli_verify_theorem(tmp_path, capsys):
     assert data["all_passed"] is True
 
 
+def test_cli_verify_theorem_small_prime(capsys):
+    # exact surface ideals need no point samples, so p = 101 sweeps cleanly
+    assert main(["verify-theorem", "--prime", "101", "--genus-range", "5..13"]) == 0
+    assert "29/29 checks passed" in capsys.readouterr().out
+
+
 def test_cli_bad_input_exits_2(tmp_path, capsys):
     assert main(["construct", "fourgonal", "--out", str(tmp_path / "x.json")]) == 2
     assert "error:" in capsys.readouterr().err

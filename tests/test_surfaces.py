@@ -7,8 +7,9 @@ import pytest
 
 from oracles import oracle_eval_quadric
 
-from syzlab.errors import ModelInconsistencyError, SampleExhaustedError
-from syzlab.linalg import DEFAULT_PRIME, kernel_basis
+from syzlab.harness import construct_model
+from syzlab.koszul import classify_theorem
+from syzlab.linalg import DEFAULT_PRIME
 from syzlab.models import VERONESE
 from syzlab.ring import GradedRing
 from syzlab.surfaces import (
@@ -23,7 +24,6 @@ from syzlab.surfaces import (
     elliptic_normal_ideal,
     embed_points,
     genus5_intersection,
-    interpolation_kernel,
     pole_order_basis,
     weierstrass_points,
 )
@@ -71,45 +71,6 @@ def test_embed_points_monomial_consistency():
     for row, (x, y) in zip(emb, affine.tolist()):
         for col, (i, j) in enumerate(basis):
             assert int(row[col]) == pow(x, i, P) * pow(y, j, P) % P
-
-
-def test_interpolation_kernel_stability_and_doubling():
-    # recover the quadrics through a random plane conic's point set and
-    # confirm that doubling the sample leaves the answer unchanged
-    rng = np.random.default_rng(52)
-    ring = GradedRing(3, P)
-    conic = rng.integers(1, P, size=ring.dim(2))
-
-    def on_conic(count: int) -> np.ndarray:
-        pts = []
-        while len(pts) < count:
-            u, v = int(rng.integers(0, P)), int(rng.integers(0, P))
-            # solve conic(u, v, w) = 0 for w by brute substitution of the
-            # quadratic formula; skip fibres without rational solutions
-            a = int(conic[ring.index_of((0, 0, 2))])
-            b = (u * conic[ring.index_of((1, 0, 1))] + v * conic[ring.index_of((0, 1, 1))]) % P
-            c = (
-                u * u * conic[ring.index_of((2, 0, 0))]
-                + u * v * conic[ring.index_of((1, 1, 0))]
-                + v * v * conic[ring.index_of((0, 2, 0))]
-            ) % P
-            from syzlab.gfpoly import sqrt_mod
-
-            disc = int(b * b - 4 * a * c) % P
-            root = sqrt_mod(disc, P)
-            if root is None:
-                continue
-            w = int(root - b) * pow(2 * a, P - 2, P) % P
-            pts.append((u, v, w))
-        return np.array(pts, dtype=np.int64)
-
-    ker, pts = interpolation_kernel(
-        on_conic, lambda q: ring.evaluate_monomials(2, q), ring.dim(2), P
-    )
-    assert ker.dim == 1
-    assert ker.contains(conic % P)
-    doubled = np.vstack([pts, on_conic(len(pts))])
-    assert kernel_basis(ring.evaluate_monomials(2, doubled), P) == ker
 
 
 def test_elliptic_normal_ideal_dimensions():
@@ -230,3 +191,19 @@ def test_constructions_are_seed_deterministic():
     assert delpezzo_curve(7, seed=61).quadrics == delpezzo_curve(7, seed=61).quadrics
     assert genus5_intersection(seed=61).quadrics == genus5_intersection(seed=61).quadrics
     assert not (bielliptic_curve(7, seed=61).quadrics == bielliptic_curve(7, seed=62).quadrics)
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7, 11, 13, 31, 101])
+@pytest.mark.parametrize(
+    "family, genus",
+    [("bielliptic", 7), ("bielliptic", 9), ("delpezzo", 6), ("delpezzo", 8), ("veronese", 10)],
+)
+def test_surface_families_over_small_primes(family, genus, prime):
+    # few GF(p)-points exist here; the ideals must not depend on them and
+    # whatever witnesses were found must still lie on the curve
+    model = construct_model(family, genus=genus, prime=prime, seed=0)
+    assert classify_theorem(model).passed
+    if model.sample_points is not None:
+        ring = GradedRing(genus, prime)
+        vals = ring.evaluate_monomials(2, model.sample_points) @ model.quadrics.basis.T
+        assert not (vals % prime).any()
