@@ -171,14 +171,6 @@ def render_betti(table: Union[BettiTable, dict]) -> str:
     return "\n".join(lines)
 
 
-SWEEP_JOBS = (
-    ("fourgonal-split", FOURGONAL),
-    ("fourgonal-extremal", FOURGONAL),
-    (BIELLIPTIC, BIELLIPTIC),
-    (DELPEZZO, DELPEZZO),
-)
-
-
 def _sweep_models(genus: int, prime: int, seed: int, trial: int):
     """The models one sweep cell exercises, as (label, model) pairs."""
     out = []

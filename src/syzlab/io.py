@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from math import comb
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ModelInconsistencyError
 from .linalg import Subspace, check_prime
-from .models import CurveModel, SurfaceModel
+from .models import BIELLIPTIC, DELPEZZO, FOURGONAL, VERONESE, CurveModel, SurfaceModel
 from .ring import GradedRing
 
 FORMAT_VERSION = 1
@@ -33,14 +34,35 @@ def _subspace_payload(space: Optional[Subspace]) -> Optional[dict]:
     }
 
 
-def _subspace_from_payload(payload: Optional[dict], prime: int) -> Optional[Subspace]:
+def _subspace_from_payload(
+    payload: Optional[dict], prime: int, ambient_dim: int
+) -> Optional[Subspace]:
     if payload is None:
         return None
+    _require(payload, ("ambient_dim", "rows"), "quadric payload")
+    if payload["ambient_dim"] != ambient_dim:
+        raise ModelInconsistencyError(
+            f"quadrics live in dimension {payload['ambient_dim']}, the genus "
+            f"needs C(g+1, 2) = {ambient_dim}"
+        )
     return Subspace.from_rows(
-        np.array(payload["rows"], dtype=np.int64).reshape(-1, payload["ambient_dim"]),
-        payload["ambient_dim"],
-        prime,
+        _int64_array(payload["rows"], "quadric rows"), ambient_dim, prime
     )
+
+
+def _int64_array(values, what: str) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ModelInconsistencyError(
+            f"{what} hold an entry outside the int64 range"
+        ) from None
+
+
+def _require(data: dict, keys, what: str) -> None:
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ModelInconsistencyError(f"{what} lacks {', '.join(missing)}")
 
 
 def model_to_dict(model: Union[CurveModel, SurfaceModel]) -> dict:
@@ -67,36 +89,57 @@ def model_to_dict(model: Union[CurveModel, SurfaceModel]) -> dict:
     return base
 
 
+# params that every model file of the family carries (its constructor stores them)
+_FAMILY_PARAMS = {
+    FOURGONAL: ("frame", "a", "b", "q1_blocks", "q2_blocks"),
+    BIELLIPTIC: ("a4", "a6"),
+    DELPEZZO: ("base_points",),
+    VERONESE: ("base_points",),
+}
+
+
 def model_from_dict(data: dict) -> Union[CurveModel, SurfaceModel]:
+    """Rebuild a model, raising ModelInconsistencyError on a malformed file."""
     if data.get("format_version") != FORMAT_VERSION:
         raise ModelInconsistencyError(
             f"unsupported format_version {data.get('format_version')!r}"
         )
+    kind_key = {"curve": "family", "surface": "kind"}.get(data.get("type"))
+    if kind_key is None:
+        raise ModelInconsistencyError(f"unknown model type {data.get('type')!r}")
+    _require(data, ("genus", "prime", "seed", "quadrics", kind_key), "model file")
+    genus = int(data["genus"])
     prime = check_prime(int(data["prime"]))
-    quadrics = _subspace_from_payload(data["quadrics"], prime)
+    ambient_dim = comb(genus + 1, 2)
+    quadrics = _subspace_from_payload(data["quadrics"], prime, ambient_dim)
     if quadrics is None:
         raise ModelInconsistencyError("model file has no quadric space")
     pts = data.get("sample_points")
-    sample_points = None if pts is None else np.array(pts, dtype=np.int64)
+    params = data.get("params", {})
     common = dict(
-        genus=int(data["genus"]),
+        genus=genus,
         prime=prime,
         seed=int(data["seed"]),
         quadrics=quadrics,
-        sample_points=sample_points,
-        params=data.get("params", {}),
+        sample_points=None if pts is None else _int64_array(pts, "sample points"),
+        params=params,
     )
-    if data.get("type") == "curve":
-        return CurveModel(
-            family=data["family"],
-            surface_quadrics=_subspace_from_payload(
-                data.get("surface_quadrics"), prime
-            ),
-            **common,
-        )
-    if data.get("type") == "surface":
+    if data["type"] == "surface":
         return SurfaceModel(kind=data["kind"], **common)
-    raise ModelInconsistencyError(f"unknown model type {data.get('type')!r}")
+    family = data["family"]
+    _require(params, _FAMILY_PARAMS.get(family, ()), f"{family} model params")
+    if quadrics.dim != comb(genus - 2, 2):
+        raise ModelInconsistencyError(
+            f"curve quadrics span dimension {quadrics.dim}, a canonical "
+            f"genus-{genus} curve needs C(g-2, 2) = {comb(genus - 2, 2)}"
+        )
+    return CurveModel(
+        family=family,
+        surface_quadrics=_subspace_from_payload(
+            data.get("surface_quadrics"), prime, ambient_dim
+        ),
+        **common,
+    )
 
 
 def canonical_json(data: dict) -> str:

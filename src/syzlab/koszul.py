@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -151,44 +151,95 @@ def syz2_span(
 # -- general Koszul cohomology -------------------------------------------------
 
 
-class _QuotientPiece:
+class _QuotientPiece(NamedTuple):
     """Degree-d part of S/I with coordinates on the non-pivot monomials."""
 
-    def __init__(self, ring: GradedRing, quadrics: Optional[Subspace], degree: int):
+    ideal: Subspace
+    free: np.ndarray
+
+
+class _KoszulComplex:
+    """The complex wedge^p V (x) B_q of one quadric space, built on demand.
+
+    Pieces B_d (d <= 4) and action matrices B_d -> B_{d+1} are built once per
+    degree; each d_{p,q}: wedge^p V (x) B_q -> wedge^{p-1} V (x) B_{q+1} is
+    ranked once, and only its rank is kept.
+    """
+
+    def __init__(self, ring: GradedRing, quadrics: Subspace, max_entries: int):
         self.ring = ring
-        self.degree = degree
-        amb = ring.dim(degree)
-        if degree >= 2 and quadrics is not None and quadrics.dim > 0:
-            ideal = ring.ideal_piece(quadrics, degree)
-        else:
-            ideal = Subspace.zero(amb, ring.prime)
-        self.ideal = ideal
-        pivots = set(ideal.pivot_cols)
-        self.free = np.array(
-            [c for c in range(amb) if c not in pivots], dtype=np.int64
-        )
-        self.dim = len(self.free)
+        self.quadrics = quadrics
+        self.max_entries = max_entries
+        self._pieces: dict[int, _QuotientPiece] = {}
+        self._actions: dict[int, np.ndarray] = {}
+        self._ranks: dict[tuple[int, int], int] = {}
 
-    def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
-        p = self.ring.prime
-        arr = rows % p
-        if self.ideal.dim:
-            arr = (arr - arr[:, list(self.ideal.pivot_cols)] @ self.ideal.basis) % p
-        return arr[:, self.free]
+    def piece(self, degree: int) -> _QuotientPiece:
+        if degree not in self._pieces:
+            amb = self.ring.dim(degree)
+            if degree >= 2:
+                ideal = self.ring.ideal_piece(self.quadrics, degree)
+            else:
+                ideal = Subspace.zero(amb, self.ring.prime)
+            free = np.delete(np.arange(amb), list(ideal.pivot_cols))
+            self._pieces[degree] = _QuotientPiece(ideal, free)
+        return self._pieces[degree]
 
+    def size(self, p_idx: int, q_idx: int) -> int:
+        """dim wedge^p V (x) B_q; zero outside 0 <= p <= g, q >= 0."""
+        if not 0 <= p_idx <= self.ring.num_vars or q_idx < 0:
+            return 0
+        return comb(self.ring.num_vars, p_idx) * len(self.piece(q_idx).free)
 
-def _action_matrices(
-    ring: GradedRing, lower: _QuotientPiece, upper: _QuotientPiece
-) -> list[np.ndarray]:
-    """For each variable v, the (lower.dim, upper.dim) matrix of f -> Z_v f."""
-    table = ring.product_table(1, lower.degree)
-    out = []
-    amb_up = ring.dim(lower.degree + 1)
-    for v in range(ring.num_vars):
-        elem = np.zeros((lower.dim, amb_up), dtype=np.int64)
-        elem[np.arange(lower.dim), table[v, lower.free]] = 1
-        out.append(upper.reduce_rows(elem))
-    return out
+    def actions(self, degree: int) -> np.ndarray:
+        """(g, dim B_d, dim B_{d+1}) array: slice v is the matrix of f -> Z_v f."""
+        if degree not in self._actions:
+            lower, upper = self.piece(degree), self.piece(degree + 1)
+            # row k: normal form of the k-th degree-(d+1) monomial in B_{d+1}
+            normal = upper.ideal.reduce(np.eye(self.ring.dim(degree + 1), dtype=np.int64))
+            table = self.ring.product_table(1, degree)
+            self._actions[degree] = normal[:, upper.free][table[:, lower.free]]
+        return self._actions[degree]
+
+    def rank_of(self, p_idx: int, q_idx: int) -> int:
+        """Rank of d_{p,q}; zero when either side is zero."""
+        key = (p_idx, q_idx)
+        if key not in self._ranks:
+            empty = not (self.size(p_idx, q_idx) and self.size(p_idx - 1, q_idx + 1))
+            self._ranks[key] = (
+                0 if empty else rank(self._differential(p_idx, q_idx), self.ring.prime)
+            )
+        return self._ranks[key]
+
+    def kappa(self, p_idx: int, q_idx: int) -> int:
+        """dim ker d_{p,q} / im d_{p+1,q-1}; checks both maps' sizes first."""
+        dom = self.size(p_idx, q_idx)
+        if dom == 0:
+            return 0
+        for p_, q_ in ((p_idx + 1, q_idx - 1), (p_idx, q_idx)):
+            entries = self.size(p_, q_) * self.size(p_ - 1, q_ + 1)
+            if entries > self.max_entries:
+                raise SizeLimitError(
+                    f"koszul matrix would have {entries} entries "
+                    f"(limit {self.max_entries})"
+                )
+        return dom - self.rank_of(p_idx, q_idx) - self.rank_of(p_idx + 1, q_idx - 1)
+
+    def _differential(self, p_idx: int, q_idx: int) -> np.ndarray:
+        """Matrix of d_{p,q}, rows = domain."""
+        g, prime = self.ring.num_vars, self.ring.prime
+        acts = self.actions(q_idx)
+        _, m, n = acts.shape
+        dom_sets = list(combinations(range(g), p_idx))
+        cod_sets = {T: i for i, T in enumerate(combinations(range(g), p_idx - 1))}
+        mat = np.zeros((len(dom_sets) * m, len(cod_sets) * n), dtype=np.int64)
+        for i, T in enumerate(dom_sets):
+            for s, v in enumerate(T):
+                # each (T, T minus one index) block is written exactly once
+                j = cod_sets[T[:s] + T[s + 1 :]]
+                block = acts[v] if s % 2 == 0 else (-acts[v]) % prime
+                mat[i * m : (i + 1) * m, j * n : (j + 1) * n] = block
+        return mat
 
 
 def koszul_dimension(
@@ -200,67 +251,15 @@ def koszul_dimension(
 ) -> int:
     """dim of the middle cohomology at (p, q) for the algebra S/(quadrics).
 
-    Supports q in 0..3 (the incoming map at q = 3 needs the degree-4 part
+    Supports q in 0..3 (the outgoing map at q = 3 needs the degree-4 part
     of the ideal, the highest this package expands).  Raises SizeLimitError
     before building any matrix with more than max_entries entries.
     """
-    g = ring.num_vars
     if not 0 <= q_idx <= 3:
         raise UnsupportedDegreeError(
             f"column degree must be in 0..3, got {q_idx}"
         )
-    if p_idx < 0 or p_idx > g:
-        return 0
-    pieces: dict[int, _QuotientPiece] = {}
-
-    def piece(d: int) -> _QuotientPiece:
-        if d not in pieces:
-            pieces[d] = _QuotientPiece(ring, quadrics, d)
-        return pieces[d]
-
-    dom_rows = comb(g, p_idx) * piece(q_idx).dim
-    if dom_rows == 0:
-        return 0
-    in_rows = comb(g, p_idx + 1) * piece(q_idx - 1).dim if q_idx >= 1 else 0
-    out_cols = comb(g, p_idx - 1) * piece(q_idx + 1).dim if p_idx >= 1 else 0
-    for rows_, cols_ in ((in_rows, dom_rows), (dom_rows, out_cols)):
-        if rows_ * cols_ > max_entries:
-            raise SizeLimitError(
-                f"koszul matrix would have {rows_ * cols_} entries "
-                f"(limit {max_entries})"
-            )
-    # outgoing differential: wedge^p (x) B_q  ->  wedge^{p-1} (x) B_{q+1}
-    if p_idx == 0:
-        ker_dim = dom_rows
-    else:
-        out_mat = _differential(ring, piece, p_idx, q_idx)
-        ker_dim = dom_rows - rank(out_mat, ring.prime)
-    # incoming differential: wedge^{p+1} (x) B_{q-1}  ->  wedge^p (x) B_q
-    if q_idx == 0 or p_idx + 1 > g or piece(q_idx - 1).dim == 0:
-        in_rank = 0
-    else:
-        in_mat = _differential(ring, piece, p_idx + 1, q_idx - 1)
-        in_rank = rank(in_mat, ring.prime)
-    return ker_dim - in_rank
-
-
-def _differential(ring, piece, p_idx: int, q_idx: int) -> np.ndarray:
-    """Matrix of the Koszul map out of wedge^p V (x) B_q, rows = domain."""
-    g = ring.num_vars
-    lower, upper = piece(q_idx), piece(q_idx + 1)
-    acts = _action_matrices(ring, lower, upper)
-    dom_sets = list(combinations(range(g), p_idx))
-    cod_sets = {T: i for i, T in enumerate(combinations(range(g), p_idx - 1))}
-    mat = np.zeros((len(dom_sets) * lower.dim, len(cod_sets) * upper.dim), dtype=np.int64)
-    for i, T in enumerate(dom_sets):
-        for s, v in enumerate(T):
-            rest = T[:s] + T[s + 1 :]
-            j = cod_sets[rest]
-            block = acts[v] if s % 2 == 0 else (-acts[v]) % ring.prime
-            rows = slice(i * lower.dim, (i + 1) * lower.dim)
-            cols = slice(j * upper.dim, (j + 1) * upper.dim)
-            mat[rows, cols] = (mat[rows, cols] + block) % ring.prime
-    return mat
+    return _KoszulComplex(ring, quadrics, max_entries).kappa(p_idx, q_idx)
 
 
 @dataclass
@@ -292,9 +291,12 @@ def betti_table(
     g = ring.num_vars
     if p_max is None:
         p_max = g - 2
+    if p_max < 0:
+        raise UnsupportedDegreeError(f"p_max must be non-negative, got {p_max}")
+    complex_ = _KoszulComplex(ring, quadrics, max_entries)
     if expected_genus is not None:
         for d in (2, 3, 4):
-            got = ring.dim(d) - ring.ideal_piece(quadrics, d).dim
+            got = len(complex_.piece(d).free)
             want = (2 * d - 1) * (expected_genus - 1)
             if got != want:
                 raise ModelInconsistencyError(
@@ -306,9 +308,7 @@ def betti_table(
     for q_idx in range(4):
         for p_idx in range(p_max + 1):
             try:
-                entries[q_idx, p_idx] = koszul_dimension(
-                    ring, quadrics, p_idx, q_idx, max_entries=max_entries
-                )
+                entries[q_idx, p_idx] = complex_.kappa(p_idx, q_idx)
             except SizeLimitError:
                 truncated = True
     return BettiTable(genus=g, entries=entries, truncated=truncated)

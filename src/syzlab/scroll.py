@@ -33,7 +33,7 @@ from .errors import (
     RollingFactorsInputError,
     TwistedSectionError,
 )
-from .gfpoly import peval, pmul, roots, sqrt_mod, trim
+from .gfpoly import peval, pmul, roots, sqrt_mod, trim, zip_pad
 from .linalg import (
     DEFAULT_PRIME,
     Subspace,
@@ -145,16 +145,19 @@ def scroll_matrix(frame: ScrollFrame) -> np.ndarray:
 def scroll_minors(frame: ScrollFrame, ring: GradedRing) -> Subspace:
     """Span of the 2x2 minors Y_j W_k - Y_k W_j; dimension C(g-3, 2)."""
     _check_ring(frame, ring)
-    cols = frame.columns()
-    rows = []
-    for (y1, w1), (y2, w2) in itertools.combinations(cols, 2):
-        vec = np.zeros(ring.dim(2), dtype=np.int64)
-        vec[ring.index_of(_pair_exponent(ring.num_vars, y1, w2))] += 1
-        vec[ring.index_of(_pair_exponent(ring.num_vars, y2, w1))] -= 1
-        rows.append(vec % ring.prime)
+    rows = [_minor(ring, c1, c2) for c1, c2 in itertools.combinations(frame.columns(), 2)]
     if not rows:
         return Subspace.zero(ring.dim(2), ring.prime)
     return Subspace.from_rows(np.array(rows), ring.dim(2), ring.prime)
+
+
+def _minor(ring: GradedRing, col1: tuple[int, int], col2: tuple[int, int]) -> np.ndarray:
+    """Coefficient vector of the 2x2 minor Y_1 W_2 - Y_2 W_1 of two columns."""
+    (y1, w1), (y2, w2) = col1, col2
+    vec = np.zeros(ring.dim(2), dtype=np.int64)
+    vec[ring.index_of(_pair_exponent(ring.num_vars, y1, w2))] += 1
+    vec[ring.index_of(_pair_exponent(ring.num_vars, y2, w1))] -= 1
+    return vec % ring.prime
 
 
 def _pair_exponent(g: int, u: int, v: int) -> list[int]:
@@ -279,16 +282,19 @@ def evaluate_section(sec: Section2H, st, x, prime: int) -> int:
     xs = [int(c) % prime for c in x]
     total = 0
     for n, (i, j) in enumerate(PAIRS):
-        block = sec.blocks[n]
-        if len(block) == 0:
-            continue
-        deg = len(block) - 1
-        val = 0
-        for alpha, c in enumerate(block):
-            if c:
-                val = (val + int(c) * pow(s, alpha, prime) % prime * pow(t, deg - alpha, prime)) % prime
+        val = _binary_form_value(sec.blocks[n], s, t, prime)
         total = (total + xs[i] * xs[j] % prime * val) % prime
     return total
+
+
+def _binary_form_value(block: np.ndarray, s: int, t: int, p: int) -> int:
+    """sum_alpha block[alpha] s^alpha t^(deg - alpha) mod p; 0 for an empty block."""
+    deg = len(block) - 1
+    val = 0
+    for alpha, c in enumerate(block):
+        if c:
+            val = (val + int(c) * pow(s, alpha, p) % p * pow(t, deg - alpha, p)) % p
+    return val
 
 
 def lift_section(ring: GradedRing, sec: Section2H) -> GradedVector:
@@ -329,11 +335,7 @@ def restriction_targets(frame: ScrollFrame, ring: GradedRing) -> np.ndarray:
     exps = ring.exponents(2)
     targets = np.empty(len(exps), dtype=np.int64)
     for m, e in enumerate(exps):
-        support = np.nonzero(e)[0]
-        if len(support) == 1:
-            u = v = int(support[0])
-        else:
-            u, v = int(support[0]), int(support[1])
+        u, v = (int(x) for x in np.repeat(np.arange(len(e)), e))  # Z_u * Z_v, u <= v
         i, sa = frame.ruling_of(u)
         j, sb = frame.ruling_of(v)
         if i > j:
@@ -450,24 +452,12 @@ def _conic_matrix(sec: Section2H, st, p: int) -> np.ndarray:
     inv2 = inverse_mod(2, p)
     mat = np.zeros((3, 3), dtype=np.int64)
     for n, (i, j) in enumerate(PAIRS):
-        block = sec.blocks[n]
-        if len(block) == 0:
-            continue
-        deg = len(block) - 1
-        val = 0
-        for alpha, c in enumerate(block):
-            if c:
-                val = (val + int(c) * pow(s, alpha, p) % p * pow(t, deg - alpha, p)) % p
+        val = _binary_form_value(sec.blocks[n], s, t, p)
         if i == j:
             mat[i, i] = val
         else:
             mat[i, j] = mat[j, i] = val * inv2 % p
     return mat
-
-
-def _qform(mat: np.ndarray, x, p: int) -> int:
-    x = np.asarray(x, dtype=np.int64) % p
-    return int(x @ (mat @ x % p) % p)
 
 
 def _bform(mat: np.ndarray, x, y, p: int) -> int:
@@ -494,7 +484,7 @@ def _conic_point(mat: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarra
         out[u], out[v] = y, z
         a = int(mat[axis, axis])
         b = 2 * (int(mat[axis, u]) * y + int(mat[axis, v]) * z) % p
-        c = _qform(mat, out, p)
+        c = _bform(mat, out, out, p)
         if a == 0:
             if b != 0:
                 out[axis] = (-c) * inverse_mod(b, p) % p
@@ -522,7 +512,7 @@ def _conic_fibre_points(
     dirs = [np.eye(3, dtype=np.int64)[i] for i in range(3) if i != pivot]
 
     def second_point(d: np.ndarray) -> np.ndarray:
-        lam = _qform(m1, d, p)
+        lam = _bform(m1, d, d, p)
         mu = 2 * _bform(m1, base, d, p) % p
         return (lam * base - mu * d) % p
 
@@ -532,7 +522,7 @@ def _conic_fibre_points(
         pt = pt % p
         if not pt.any():
             return
-        if _qform(m1, pt, p) or _qform(m2, pt, p):
+        if _bform(m1, pt, pt, p) or _bform(m2, pt, pt, p):
             return
         lead = int(np.nonzero(pt)[0][0])
         pt = pt * inverse_mod(int(pt[lead]), p) % p
@@ -545,9 +535,9 @@ def _conic_fibre_points(
     # coordinates quadratic in u
     d0, d1 = dirs
     lam_poly = [
-        _qform(m1, d0, p),
+        _bform(m1, d0, d0, p),
         2 * _bform(m1, d0, d1, p) % p,
-        _qform(m1, d1, p),
+        _bform(m1, d1, d1, p),
     ]
     mu_poly = [
         2 * _bform(m1, base, d0, p) % p,
@@ -558,20 +548,14 @@ def _conic_fibre_points(
         poly = [lam_poly[k] * int(base[coord]) % p for k in range(3)]
         d_poly = [int(d0[coord]) % p, int(d1[coord]) % p]
         sub = pmul(mu_poly, d_poly, p)
-        padded = poly + [0] * (max(0, len(sub) - len(poly)))
-        for k, c in enumerate(sub):
-            padded[k] = (padded[k] - c) % p
-        coord_polys.append(trim(padded) or [0])
+        coord_polys.append(trim([(a - b) % p for a, b in zip_pad(poly, sub)]) or [0])
     quartic = [0]
     for i in range(3):
         for j in range(3):
             if m2[i, j]:
                 term = pmul(coord_polys[i], coord_polys[j], p)
                 term = [int(m2[i, j]) * c % p for c in term]
-                padded = quartic + [0] * max(0, len(term) - len(quartic))
-                for k, c in enumerate(term):
-                    padded[k] = (padded[k] + c) % p
-                quartic = padded
+                quartic = [(a + b) % p for a, b in zip_pad(quartic, term)]
     for u in roots(quartic, p, rng):
         pt = np.array(
             [peval(coord_polys[c], u, p) for c in range(3)], dtype=np.int64
@@ -656,11 +640,7 @@ def row_decomposition(
     a_forms = np.zeros((len(cols), g), dtype=np.int64)
     for m in np.nonzero(quad.coeffs)[0]:
         e = ring.exponents(2)[m]
-        support = np.nonzero(e)[0]
-        if len(support) == 1:
-            u = v = int(support[0])
-        else:
-            u, v = int(support[0]), int(support[1])
+        u, v = (int(x) for x in np.repeat(np.arange(g), e))  # Z_u * Z_v, u <= v
         if u in col_of_var:
             a_forms[col_of_var[u], v] = (a_forms[col_of_var[u], v] + int(quad.coeffs[m])) % ring.prime
         elif v in col_of_var:
@@ -727,12 +707,7 @@ def rolling_identity_residual(
     lhs = GradedVector(3, (lhs.coeffs - ring.multiply(witness.h_top, witness.q2).coeffs) % ring.prime)
     acc = lhs.coeffs.copy()
     for (j, k), form in witness.delta.items():
-        y1, w1 = cols[j]
-        y2, w2 = cols[k]
-        minor = np.zeros(ring.dim(2), dtype=np.int64)
-        minor[ring.index_of(_pair_exponent(ring.num_vars, y1, w2))] += 1
-        minor[ring.index_of(_pair_exponent(ring.num_vars, y2, w1))] -= 1
-        prod = ring.multiply(form, GradedVector(2, minor % ring.prime))
+        prod = ring.multiply(form, GradedVector(2, _minor(ring, cols[j], cols[k])))
         acc = (acc - prod.coeffs) % ring.prime
     return GradedVector(3, acc)
 
@@ -750,12 +725,7 @@ def rolling_syzygy(
         row = (row - witness.h_top.coeffs[v] * witness.q2.coeffs) % p
         gamma[v] = row
     for (j, k), form in witness.delta.items():
-        y1, w1 = cols[j]
-        y2, w2 = cols[k]
-        minor = np.zeros(ring.dim(2), dtype=np.int64)
-        minor[ring.index_of(_pair_exponent(g, y1, w2))] += 1
-        minor[ring.index_of(_pair_exponent(g, y2, w1))] -= 1
-        minor %= p
+        minor = _minor(ring, cols[j], cols[k])
         for v in np.nonzero(form.coeffs)[0]:
             gamma[v] = (gamma[v] - int(form.coeffs[v]) * minor) % p
     return gamma

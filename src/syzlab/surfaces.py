@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GenericityExhaustedError, ModelInconsistencyError
-from .gfpoly import peval, pmul, roots, sqrt_mod, trim
+from .gfpoly import peval, pmul, roots, sqrt_mod, trim, zip_pad
 from .linalg import (
     DEFAULT_PRIME,
     Subspace,
@@ -498,16 +498,10 @@ def _delpezzo_curve_points(
         for m, c in zip(ring_g.exponents(2), ring_g.vector(2, quad).coeffs):
             if not c:
                 continue
-            support = np.nonzero(m)[0]
-            if len(support) == 1:
-                i = j = int(support[0])
-            else:
-                i, j = int(support[0]), int(support[1])
+            i, j = (int(x) for x in np.repeat(np.arange(genus), m))  # Z_i * Z_j, i <= j
             term = pmul(coord_polys[i], coord_polys[j], p)
             term = [int(c) * t % p for t in term]
-            sextic = sextic + [0] * max(0, len(term) - len(sextic))
-            for k, t in enumerate(term):
-                sextic[k] = (sextic[k] + t) % p
+            sextic = [(a + b) % p for a, b in zip_pad(sextic, term)]
         for v in roots(sextic, p, rng):
             img = np.array(
                 [peval(poly, v, p) for poly in coord_polys], dtype=np.int64

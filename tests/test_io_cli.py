@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from syzlab.cli import main
+from syzlab.errors import ModelInconsistencyError
 from syzlab.harness import (
     analyze_model,
     construct_model,
@@ -31,7 +32,7 @@ from syzlab.io import (
 from syzlab.linalg import DEFAULT_PRIME, Subspace
 from syzlab.ring import GradedRing
 from syzlab.scroll import ScrollFrame, fourgonal_curve
-from syzlab.surfaces import bielliptic_curve, delpezzo_surface
+from syzlab.surfaces import bielliptic_curve, delpezzo_curve, delpezzo_surface
 
 P = DEFAULT_PRIME
 
@@ -197,6 +198,48 @@ def test_cli_bad_input_exits_2(tmp_path, capsys):
     assert main(["construct", "genus5", "--genus", "9",
                  "--out", str(tmp_path / "x.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("p_max", ["-1", "-3"])
+def test_cli_negative_betti_max_p_exits_2(tmp_path, capsys, p_max):
+    model_path = tmp_path / "m.json"
+    save_model(construct_model("genus5", seed=92), model_path)
+    code = main(["analyze", str(model_path), "--betti-max-p", p_max,
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and p_max in err
+
+
+def _drop_seed(data):
+    del data["seed"]
+
+
+def _huge_coefficient(data):
+    data["quadrics"]["rows"][0][-1] = 2**70
+
+
+def _relabel_fourgonal(data):
+    data["family"] = "fourgonal"
+
+
+def _two_of_six_quadrics(data):
+    data["quadrics"]["rows"] = data["quadrics"]["rows"][:2]
+
+
+@pytest.mark.parametrize(
+    "edit", [_drop_seed, _huge_coefficient, _relabel_fourgonal, _two_of_six_quadrics]
+)
+def test_malformed_model_files_exit_2(tmp_path, capsys, edit):
+    data = model_to_dict(delpezzo_curve(6, seed=93))
+    edit(data)
+    with pytest.raises(ModelInconsistencyError):
+        model_from_dict(data)
+    model_path = tmp_path / "m.json"
+    model_path.write_text(json.dumps(data))
+    assert main(["analyze", str(model_path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_prime_env_override(tmp_path, monkeypatch, capsys):

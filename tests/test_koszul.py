@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 from math import comb
 
 import numpy as np
 import pytest
 
+from syzlab import koszul, linalg
 from syzlab.errors import (
     InvalidSyzygyError,
     ModelInconsistencyError,
     SizeLimitError,
     UnsupportedDegreeError,
 )
+from syzlab.harness import construct_model
 from syzlab.koszul import (
     VERDICT_CURVE,
     VERDICT_SURFACE,
@@ -136,6 +139,8 @@ def test_unsupported_degrees_raise():
         koszul_dimension(ring, model.quadrics, 2, 4)
     with pytest.raises(UnsupportedDegreeError):
         koszul_dimension(ring, model.quadrics, 2, -1)
+    with pytest.raises(UnsupportedDegreeError, match="-1"):
+        betti_table(ring, model.quadrics, p_max=-1)
 
 
 def test_size_budget_is_enforced():
@@ -158,6 +163,52 @@ def test_betti_table_genus6():
     assert table.value(3, 2) == 6
     assert table.value(3, 3) == 0
     assert table.value(4, 3) == 1
+
+
+def test_betti_table_ranks_each_differential_once(monkeypatch):
+    seen = []
+
+    def recording_rank(mat, p):
+        seen.append(hashlib.sha256(repr(mat.shape).encode() + mat.tobytes()).hexdigest())
+        return linalg.rank(mat, p)
+
+    monkeypatch.setattr(koszul, "rank", recording_rank)
+    model = _genus6_model()
+    table = betti_table(GradedRing(6, P), model.quadrics, expected_genus=6)
+    assert not table.truncated
+    assert seen and len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: construct_model("fourgonal", genus=6, seed=76),
+        lambda: bielliptic_curve(6, seed=76),
+        lambda: delpezzo_curve(6, seed=76),
+        lambda: genus5_intersection(seed=76),
+    ],
+    ids=["fourgonal", "bielliptic", "delpezzo", "genus5"],
+)
+def test_complete_grids_satisfy_duality_and_euler_characteristic(build):
+    model = build()
+    g = model.genus
+    table = betti_table(GradedRing(g, P), model.quadrics, expected_genus=g)
+    assert not table.truncated and table.entries.shape == (4, g - 1)
+
+    def kappa(p_idx, q_idx):
+        # columns p >= g - 1 are dual to p < 0, hence zero
+        return table.value(p_idx, q_idx) if p_idx <= g - 2 else 0
+
+    def h(d):
+        return 1 if d == 0 else g if d == 1 else (2 * d - 1) * (g - 1)
+
+    for q_idx in range(4):
+        for p_idx in range(g - 1):
+            assert kappa(p_idx, q_idx) == kappa(g - 2 - p_idx, 3 - q_idx)
+    for k in range(g + 4):
+        lhs = sum((-1) ** p * kappa(p, k - p) for p in range(max(0, k - 3), min(k, g) + 1))
+        rhs = sum((-1) ** p * comb(g, p) * h(k - p) for p in range(min(k, g) + 1))
+        assert lhs == rhs, k
 
 
 def test_betti_table_rejects_wrong_hilbert_function():
