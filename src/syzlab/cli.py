@@ -94,7 +94,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (SyzlabError, ValueError) as exc:
+    except (SyzlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

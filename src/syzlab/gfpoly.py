@@ -1,8 +1,12 @@
 """Univariate helpers over GF(p): modular square roots and root finding.
 
 Polynomials are plain Python lists of canonical residues in ascending
-degree order with no trailing zeros.  Degrees stay tiny (<= 4 in every
+degree order with no trailing zeros.  Degrees stay tiny (<= 6 in every
 caller), so clarity beats asymptotics here.
+
+Witness points of every model come from one recipe: parametrise a rational
+curve x(u) on the surface, restrict the extra quadric Q to it and keep the
+points at the GF(p)-roots of Q(x(u)).
 """
 
 from __future__ import annotations
@@ -50,14 +54,6 @@ def trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
         f = f[:-1]
     return f
-
-
-def peval(f: list[int], u: int, p: int) -> int:
-    """f(u) mod p by Horner's rule."""
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * u + c) % p
-    return acc
 
 
 def pmul(f: list[int], g: list[int], p: int) -> list[int]:
@@ -112,30 +108,26 @@ def ppow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
 
 
 def roots(f, p: int, rng: np.random.Generator) -> list[int]:
-    """Distinct roots of f in GF(p), sorted ascending.
+    """Distinct roots of f in GF(p), sorted ascending; none for a constant f.
 
-    Splits off the product of distinct linear factors with gcd(f, X^p - X),
-    then factors it by equal-degree splitting; the rng only affects the
-    internal splitting choices, never the result.
+    Degree <= 2 is solved in closed form.  Above that, gcd(f, X^p - X)
+    splits off the product of distinct linear factors, which is factored
+    by equal-degree splitting; the rng only affects the internal splitting
+    choices, never the result.
     """
     f = trim([int(c) % p for c in f])
-    if len(f) <= 1:
-        # zero or constant: no well-defined finite root set worth reporting
-        return []
-    xp = ppow_mod([0, 1], p, f, p)
-    xp_minus_x = [(a - b) % p for a, b in zip_pad(xp, [0, 1])]
-    lin = pgcd(f, xp_minus_x, p)
+    if len(f) > 3:
+        xp_minus_x = ppow_mod([0, 1], p, f, p) + [0, 0]
+        xp_minus_x[1] = (xp_minus_x[1] - 1) % p
+        f = pgcd(f, xp_minus_x, p)
     out: list[int] = []
-    _split_linear(lin, p, rng, out)
+    _split_linear(f, p, rng, out)
     return sorted(out)
 
 
-def zip_pad(a: list[int], b: list[int]) -> list[tuple[int, int]]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(n)]
-
-
 def _split_linear(g: list[int], p: int, rng: np.random.Generator, out: list[int]) -> None:
+    """Append the distinct roots of g, which splits into distinct linear
+    factors unless its degree is <= 2."""
     g = trim(g)
     if len(g) <= 1:
         return
@@ -143,14 +135,11 @@ def _split_linear(g: list[int], p: int, rng: np.random.Generator, out: list[int]
         out.append((-g[0]) * inverse_mod(g[1], p) % p)
         return
     if len(g) == 3:
-        a, b, c = g[2], g[1], g[0]
-        disc = (b * b - 4 * a * c) % p
-        s = sqrt_mod(disc, p)
-        if s is None:
-            return
-        inv2a = inverse_mod(2 * a, p)
-        out.append((-b + s) * inv2a % p)
-        out.append((-b - s) * inv2a % p)
+        c, b, a = g
+        s = sqrt_mod(b * b - 4 * a * c, p)
+        if s is not None:
+            inv2a = inverse_mod(2 * a, p)
+            out.extend({(-b + s) * inv2a % p, (-b - s) * inv2a % p})
         return
     for _ in range(80):
         delta = int(rng.integers(0, p))
@@ -162,3 +151,34 @@ def _split_linear(g: list[int], p: int, rng: np.random.Generator, out: list[int]
             _split_linear(pdivmod(g, d, p)[0], p, rng, out)
             return
     raise RuntimeError("equal-degree splitting failed to converge")
+
+
+def _restrict_quadric(form: np.ndarray, coords: np.ndarray, p: int) -> list[int]:
+    """Coefficients of Q(x(u)), ascending in u, not trimmed.
+
+    ``form`` is the upper-triangular matrix of Q ([i, j] holds the
+    coefficient of Z_i Z_j, i <= j), so Q(x) = x^T form x needs no inverse
+    of 2.  ``coords`` is the (n, d+1) coefficient array of x(u), entries in
+    [0, p); u^k collects the anti-diagonal a + b = k of coords^T form coords.
+    """
+    gram = coords.T @ (form @ coords % p) % p
+    n = len(gram)
+    return [int(np.trace(gram[:, ::-1], offset=n - 1 - k)) % p for k in range(2 * n - 1)]
+
+
+def _quadric_points(
+    form: np.ndarray, coords: np.ndarray, p: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The points x(u) at the distinct GF(p)-roots u of Q(x(u)), ascending in u.
+
+    Arguments as in _restrict_quadric; returns a (k, n) array.  When Q
+    vanishes on the whole curve, every u qualifies and only x(0) is returned.
+    """
+    poly = _restrict_quadric(form, coords, p)
+    if not any(poly):
+        return coords[:, :1].T
+    us = np.array(roots(poly, p, rng), dtype=np.int64)
+    powers = np.ones((len(us), coords.shape[1]), dtype=np.int64)
+    for k in range(1, coords.shape[1]):
+        powers[:, k] = powers[:, k - 1] * us % p
+    return powers @ coords.T % p

@@ -100,6 +100,8 @@ _FAMILY_PARAMS = {
 
 def model_from_dict(data: dict) -> Union[CurveModel, SurfaceModel]:
     """Rebuild a model, raising ModelInconsistencyError on a malformed file."""
+    if not isinstance(data, dict):
+        raise ModelInconsistencyError(f"model file holds a JSON {type(data).__name__}")
     if data.get("format_version") != FORMAT_VERSION:
         raise ModelInconsistencyError(
             f"unsupported format_version {data.get('format_version')!r}"
@@ -115,13 +117,15 @@ def model_from_dict(data: dict) -> Union[CurveModel, SurfaceModel]:
     if quadrics is None:
         raise ModelInconsistencyError("model file has no quadric space")
     pts = data.get("sample_points")
+    if pts is not None:
+        pts = _witness_points(_int64_array(pts, "sample points"), quadrics, genus)
     params = data.get("params", {})
     common = dict(
         genus=genus,
         prime=prime,
         seed=int(data["seed"]),
         quadrics=quadrics,
-        sample_points=None if pts is None else _int64_array(pts, "sample points"),
+        sample_points=pts,
         params=params,
     )
     if data["type"] == "surface":
@@ -133,13 +137,27 @@ def model_from_dict(data: dict) -> Union[CurveModel, SurfaceModel]:
             f"curve quadrics span dimension {quadrics.dim}, a canonical "
             f"genus-{genus} curve needs C(g-2, 2) = {comb(genus - 2, 2)}"
         )
-    return CurveModel(
-        family=family,
-        surface_quadrics=_subspace_from_payload(
-            data.get("surface_quadrics"), prime, ambient_dim
-        ),
-        **common,
-    )
+    surface = _subspace_from_payload(data.get("surface_quadrics"), prime, ambient_dim)
+    if surface is not None and not quadrics.contains_space(surface):
+        raise ModelInconsistencyError(
+            "surface quadrics are not contained in the curve quadrics"
+        )
+    return CurveModel(family=family, surface_quadrics=surface, **common)
+
+
+def _witness_points(pts: np.ndarray, quadrics: Subspace, genus: int) -> np.ndarray:
+    """The stored witness points, checked to vanish on every quadric."""
+    if pts.ndim != 2 or pts.shape[1] != genus:
+        raise ModelInconsistencyError(
+            f"sample points have shape {pts.shape}, expected rows of length {genus}"
+        )
+    values = GradedRing(genus, quadrics.prime).evaluate_monomials(2, pts) @ quadrics.basis.T
+    off = np.flatnonzero((values % quadrics.prime).any(axis=1))
+    if off.size:
+        raise ModelInconsistencyError(
+            f"{off.size} of {len(pts)} sample points lie off the quadrics, first row {off[0]}"
+        )
+    return pts
 
 
 def canonical_json(data: dict) -> str:

@@ -229,17 +229,25 @@ class Subspace:
 
 
 def kernel_basis(mat, p: int) -> Subspace:
-    """Right kernel {v : mat @ v == 0} as a canonical Subspace."""
+    """Right kernel {v : mat @ v == 0} as a canonical Subspace.
+
+    One elimination, of the column-reversed matrix: there the kernel vector
+    of free column f is nonzero only at f and at pivot columns left of f,
+    so reversed back and sorted these vectors already are the echelon basis.
+    """
     a = _as_matrix(mat, p)
     ncols = a.shape[1]
-    rk, red, piv = rref(a, p)
-    free = [c for c in range(ncols) if c not in set(piv)]
+    rk, red, piv = rref(a[:, ::-1], p)
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
     vecs = np.zeros((len(free), ncols), dtype=np.int64)
-    for row, c in enumerate(free):
-        vecs[row, c] = 1
-        if rk:
-            vecs[row, piv] = (-red[:rk, c]) % p
-    return Subspace.from_rows(vecs, ncols, p)
+    vecs[np.arange(len(free)), free] = 1
+    vecs[:, piv] = (-red[:rk, free].T) % p
+    basis = np.ascontiguousarray(vecs[::-1, ::-1])
+    basis.setflags(write=False)
+    pivots = tuple(int(ncols - 1 - f) for f in free[::-1])
+    return Subspace(ncols, p, basis, pivots)
 
 
 def solve(mat, rhs, p: int) -> np.ndarray | None:

@@ -2,7 +2,8 @@
 
 A model stores exactly what analysis needs: the quadric ideal piece of the
 curve, optionally the quadrics of the surface it is expected to sweep out,
-and a batch of witness points used for cheap vanishing spot-checks.
+and best-effort witness points (possibly None) for cheap vanishing
+spot-checks; loading a model file checks that they vanish.
 """
 
 from __future__ import annotations

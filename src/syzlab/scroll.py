@@ -33,7 +33,7 @@ from .errors import (
     RollingFactorsInputError,
     TwistedSectionError,
 )
-from .gfpoly import peval, pmul, roots, sqrt_mod, trim, zip_pad
+from .gfpoly import _quadric_points, _restrict_quadric
 from .linalg import (
     DEFAULT_PRIME,
     Subspace,
@@ -278,23 +278,8 @@ def twist_down(sec: Section2H, form, prime: int) -> Section2H:
 
 def evaluate_section(sec: Section2H, st, x, prime: int) -> int:
     """Value of the section at base point (s:t) and fibre point (x1:x2:x3)."""
-    s, t = int(st[0]) % prime, int(st[1]) % prime
-    xs = [int(c) % prime for c in x]
-    total = 0
-    for n, (i, j) in enumerate(PAIRS):
-        val = _binary_form_value(sec.blocks[n], s, t, prime)
-        total = (total + xs[i] * xs[j] % prime * val) % prime
-    return total
-
-
-def _binary_form_value(block: np.ndarray, s: int, t: int, p: int) -> int:
-    """sum_alpha block[alpha] s^alpha t^(deg - alpha) mod p; 0 for an empty block."""
-    deg = len(block) - 1
-    val = 0
-    for alpha, c in enumerate(block):
-        if c:
-            val = (val + int(c) * pow(s, alpha, p) % p * pow(t, deg - alpha, p)) % p
-    return val
+    x = np.asarray(x, dtype=np.int64) % prime
+    return int(x @ (_conic_matrix(sec, st, prime) @ x % prime) % prime)
 
 
 def lift_section(ring: GradedRing, sec: Section2H) -> GradedVector:
@@ -447,121 +432,70 @@ def _embed_point(frame: ScrollFrame, st, x, p: int) -> np.ndarray:
 
 
 def _conic_matrix(sec: Section2H, st, p: int) -> np.ndarray:
-    """Symmetric 3x3 matrix of the fibre conic of a section at (s:t)."""
+    """Upper-triangular 3x3 matrix of the fibre conic of a section at (s:t).
+
+    Entry (i, j) is the binary form of pair (i, j) at (s:t),
+    sum_alpha block[alpha] s^alpha t^(deg - alpha).
+    """
     s, t = int(st[0]) % p, int(st[1]) % p
-    inv2 = inverse_mod(2, p)
     mat = np.zeros((3, 3), dtype=np.int64)
     for n, (i, j) in enumerate(PAIRS):
-        val = _binary_form_value(sec.blocks[n], s, t, p)
-        if i == j:
-            mat[i, i] = val
-        else:
-            mat[i, j] = mat[j, i] = val * inv2 % p
+        deg = len(sec.blocks[n]) - 1
+        mat[i, j] = sum(
+            int(c) * pow(s, a, p) * pow(t, deg - a, p) for a, c in enumerate(sec.blocks[n])
+        ) % p
     return mat
 
 
-def _bform(mat: np.ndarray, x, y, p: int) -> int:
-    x = np.asarray(x, dtype=np.int64) % p
-    y = np.asarray(y, dtype=np.int64) % p
-    return int(x @ (mat @ y % p) % p)
-
-
 def _conic_point(mat: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray | None:
-    """A GF(p)-point of x^T mat x = 0 in P^2, or None.
+    """A GF(p)-point of the conic in P^2, or None.
 
-    Solves the quadratic in one coordinate with the other two random; the
-    solved coordinate rotates across attempts so conics missing a variable
-    (rank <= 2 fibre conics of highly twisted sections) are still hit.
+    Solves along the line through a random point in one coordinate
+    direction; the direction rotates across attempts so conics missing a
+    variable (rank <= 2 fibre conics of highly twisted sections) are still hit.
     """
     for attempt in range(90):
         axis = attempt % 3
-        u, v = [i for i in range(3) if i != axis]
-        y = int(rng.integers(0, p))
-        z = int(rng.integers(0, p))
+        y, z = int(rng.integers(0, p)), int(rng.integers(0, p))
         if y == 0 and z == 0:
             continue
-        out = np.zeros(3, dtype=np.int64)
-        out[u], out[v] = y, z
-        a = int(mat[axis, axis])
-        b = 2 * (int(mat[axis, u]) * y + int(mat[axis, v]) * z) % p
-        c = _bform(mat, out, out, p)
-        if a == 0:
-            if b != 0:
-                out[axis] = (-c) * inverse_mod(b, p) % p
-                return out
-            if c == 0:
-                return out
-            continue
-        disc = (b * b - 4 * a * c) % p
-        root = sqrt_mod(disc, p)
-        if root is None:
-            continue
-        out[axis] = (-b + root) * inverse_mod(2 * a, p) % p
-        return out
+        # the line (y, z) + u * e_axis, with (y, z) in the other two slots
+        line = np.zeros((3, 2), dtype=np.int64)
+        line[[i for i in range(3) if i != axis], 0] = y, z
+        line[axis, 1] = 1
+        on_conic = _quadric_points(mat, line, p, rng)
+        if len(on_conic):
+            return on_conic[0]
     return None
 
 
 def _conic_fibre_points(
     m1: np.ndarray, m2: np.ndarray, p: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Common zeros of two conics in P^2 (possibly empty)."""
+    """Common zeros of two conics in P^2 (possibly empty), leading entry 1."""
     base = _conic_point(m1, p, rng)
     if base is None:
         return []
+    # pencil of lines through base, direction d(u) = d0 + u*d1: the residual
+    # point m1(d(u)) * base - B1(base, d(u)) * d(u) on conic 1, with B1 the
+    # polar form, is quadratic in u; its u^2 column is the u = infinity point
     pivot = int(np.nonzero(base)[0][0])
-    dirs = [np.eye(3, dtype=np.int64)[i] for i in range(3) if i != pivot]
+    dirs = np.eye(3, dtype=np.int64)[:, [i for i in range(3) if i != pivot]]
+    polar = base @ ((m1 + m1.T) @ dirs % p) % p
+    pencil = np.outer(base, _restrict_quadric(m1, dirs, p)) % p
+    pencil[:, :2] -= dirs * polar[0]
+    pencil[:, 1:] -= dirs * polar[1]
+    pencil %= p
+    cands = np.vstack([base, _quadric_points(m2, pencil, p, rng), pencil[:, 2]])
 
-    def second_point(d: np.ndarray) -> np.ndarray:
-        lam = _bform(m1, d, d, p)
-        mu = 2 * _bform(m1, base, d, p) % p
-        return (lam * base - mu * d) % p
+    def on_conic(m: np.ndarray) -> np.ndarray:
+        return ((cands @ m % p) * cands).sum(axis=1) % p == 0
 
     found: list[np.ndarray] = []
-
-    def push(pt: np.ndarray) -> None:
-        pt = pt % p
-        if not pt.any():
-            return
-        if _bform(m1, pt, pt, p) or _bform(m2, pt, pt, p):
-            return
-        lead = int(np.nonzero(pt)[0][0])
-        pt = pt * inverse_mod(int(pt[lead]), p) % p
+    for pt in cands[cands.any(axis=1) & on_conic(m1) & on_conic(m2)]:
+        pt = pt * inverse_mod(int(pt[np.nonzero(pt)[0][0]]), p) % p
         if not any(np.array_equal(pt, q) for q in found):
             found.append(pt)
-
-    push(base)
-    # pencil of lines through base: direction d(u) = dirs[0] + u * dirs[1];
-    # the residual intersection pt(u) = lam(u)*base - mu(u)*d(u) has
-    # coordinates quadratic in u
-    d0, d1 = dirs
-    lam_poly = [
-        _bform(m1, d0, d0, p),
-        2 * _bform(m1, d0, d1, p) % p,
-        _bform(m1, d1, d1, p),
-    ]
-    mu_poly = [
-        2 * _bform(m1, base, d0, p) % p,
-        2 * _bform(m1, base, d1, p) % p,
-    ]
-    coord_polys = []
-    for coord in range(3):
-        poly = [lam_poly[k] * int(base[coord]) % p for k in range(3)]
-        d_poly = [int(d0[coord]) % p, int(d1[coord]) % p]
-        sub = pmul(mu_poly, d_poly, p)
-        coord_polys.append(trim([(a - b) % p for a, b in zip_pad(poly, sub)]) or [0])
-    quartic = [0]
-    for i in range(3):
-        for j in range(3):
-            if m2[i, j]:
-                term = pmul(coord_polys[i], coord_polys[j], p)
-                term = [int(m2[i, j]) * c % p for c in term]
-                quartic = [(a + b) % p for a, b in zip_pad(quartic, term)]
-    for u in roots(quartic, p, rng):
-        pt = np.array(
-            [peval(coord_polys[c], u, p) for c in range(3)], dtype=np.int64
-        )
-        push(pt)
-    push(second_point(d1))  # direction "u = infinity"
     return found
 
 

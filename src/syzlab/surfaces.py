@@ -18,12 +18,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GenericityExhaustedError, ModelInconsistencyError
-from .gfpoly import peval, pmul, roots, sqrt_mod, trim, zip_pad
+from .gfpoly import _quadric_points, sqrt_mod
 from .linalg import (
     DEFAULT_PRIME,
     Subspace,
     check_prime,
-    inverse_mod,
     kernel_basis,
     rank,
 )
@@ -316,37 +315,24 @@ def _bielliptic_points(
     count: int,
     rng: np.random.Generator,
 ) -> Optional[np.ndarray]:
-    """Points of S cap {Q = 0}: solve Q quadratically along each cone ruling.
+    """Points of S cap {Q = 0}: the roots of Q along cone rulings.
 
     None when no GF(p)-point turns up.
     """
     p = ring.prime
-    g = ring.num_vars
     assert surface.sample_points is not None
     curve_pts = surface.sample_points[1:]  # skip the vertex
     if len(curve_pts) == 0:
         return None
+    form = np.triu(quad[ring.product_table(1, 1)])
     pts: list[np.ndarray] = []
     for _ in range(8 * count):
         if len(pts) >= count:
             break
-        base = curve_pts[int(rng.integers(0, len(curve_pts)))]
-        # restrict Q to the line lam*vertex + base
-        line = np.zeros((2, g), dtype=np.int64)
-        line[0, 0] = 1
-        line[1] = base
-        line[1, 0] = 0
-        a = int(ring.evaluate(ring.vector(2, quad), line[0])[0])
-        c = int(ring.evaluate(ring.vector(2, quad), line[1])[0])
-        both = int(ring.evaluate(ring.vector(2, quad), (line[0] + line[1]) % p)[0])
-        b = (both - a - c) % p
-        disc = (b * b - 4 * a * c) % p
-        root = sqrt_mod(disc, p)
-        if root is None or a == 0:
-            continue
-        inv2a = inverse_mod(2 * a, p)
-        for lam in ((-b + root) * inv2a % p, (-b - root) * inv2a % p):
-            pt = (lam * line[0] + line[1]) % p
+        ruling = np.zeros((ring.num_vars, 2), dtype=np.int64)  # base + u * vertex
+        ruling[1:, 0] = curve_pts[int(rng.integers(0, len(curve_pts))), 1:]
+        ruling[0, 1] = 1
+        for pt in _quadric_points(form, ruling, p, rng):
             if len(pts) < count and not any(np.array_equal(pt, q) for q in pts):
                 pts.append(pt)
     return np.array(pts, dtype=np.int64) if pts else None
@@ -474,41 +460,24 @@ def _delpezzo_curve_points(
     of the curve.  None when no GF(p)-point turns up.
     """
     p = ring_g.prime
-    genus = surface.genus
     ring3 = GradedRing(3, p)
     cubics = _plane_cubic_basis(
         np.array(surface.params["base_points"], dtype=np.int64).reshape(-1, 3), ring3
     )
     assert cubics is not None
+    form = np.triu(quad[ring_g.product_table(1, 1)])
+    alpha, beta, _ = ring3.exponents(3).T
     pts: list[np.ndarray] = []
     for _ in range(12 * count):
         if len(pts) >= count:
             break
         u = int(rng.integers(0, p))
-        # coordinate functions of the image as polynomials in v
-        coord_polys = []
-        for row in cubics.basis:
-            poly = [0, 0, 0, 0]
-            for m, c in zip(ring3.exponents(3), row):
-                if c:
-                    alpha, beta, _ = (int(m[0]), int(m[1]), int(m[2]))
-                    poly[beta] = (poly[beta] + int(c) * pow(u, alpha, p)) % p
-            coord_polys.append(trim(poly) or [0])
-        sextic = [0]
-        for m, c in zip(ring_g.exponents(2), ring_g.vector(2, quad).coeffs):
-            if not c:
-                continue
-            i, j = (int(x) for x in np.repeat(np.arange(genus), m))  # Z_i * Z_j, i <= j
-            term = pmul(coord_polys[i], coord_polys[j], p)
-            term = [int(c) * t % p for t in term]
-            sextic = [(a + b) % p for a, b in zip_pad(sextic, term)]
-        for v in roots(sextic, p, rng):
-            img = np.array(
-                [peval(poly, v, p) for poly in coord_polys], dtype=np.int64
-            )
-            if img.any() and len(pts) < count:
-                if not any(np.array_equal(img, q) for q in pts):
-                    pts.append(img)
+        # monomial x^alpha y^beta z^gamma at (u, v, 1) is u^alpha * v^beta
+        on_line = np.zeros((len(alpha), 4), dtype=np.int64)
+        on_line[np.arange(len(alpha)), beta] = [pow(u, int(a), p) for a in alpha]
+        for img in _quadric_points(form, cubics.basis @ on_line % p, p, rng):
+            if img.any() and len(pts) < count and not any(np.array_equal(img, q) for q in pts):
+                pts.append(img)
     return np.array(pts, dtype=np.int64) if pts else None
 
 

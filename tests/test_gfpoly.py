@@ -2,7 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from syzlab.gfpoly import legendre, pdivmod, pgcd, pmul, roots, sqrt_mod
+import pytest
+
+from syzlab.gfpoly import (
+    _quadric_points,
+    _restrict_quadric,
+    legendre,
+    pdivmod,
+    pgcd,
+    pmul,
+    roots,
+    sqrt_mod,
+)
 
 P = 1000003
 
@@ -72,3 +83,53 @@ def test_gcd_of_shared_factor():
     f = pmul(shared, [3, 1], P)
     g = pmul(shared, [11, 0, 1], P)
     assert pgcd(f, g, P) == shared  # pgcd returns the monic gcd
+
+
+def _value(f, u, p):
+    return sum(int(c) * pow(u, k, p) for k, c in enumerate(f)) % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_roots_match_a_brute_force_scan(p):
+    rng = np.random.default_rng(26 + p)
+    polys = [[(-5) % p, 1], pmul([(-5) % p, 1], [(-5) % p, 1], p), [0, 0, 1]]
+    for degree in range(7):
+        for _ in range(25):
+            f = [int(c) for c in rng.integers(0, p, size=degree + 1)]
+            f[-1] = f[-1] or 1
+            polys.append(f)
+    for f in polys:
+        want = [u for u in range(p) if _value(f, u, p) == 0]
+        assert roots(f, p, rng) == want, f
+
+
+def test_lone_double_root_is_reported_once():
+    rng = np.random.default_rng(27)
+    for p in (7, 101):
+        assert roots(pmul([(-5) % p, 1], [(-5) % p, 1], p), p, rng) == [5 % p]
+
+
+@pytest.mark.parametrize("p", [7, 101, 1000003])
+def test_restricted_quadric_is_the_quadric_along_the_curve(p):
+    rng = np.random.default_rng(28)
+    for n, d in ((3, 1), (3, 2), (5, 3), (7, 1)):
+        form = np.triu(rng.integers(0, p, size=(n, n)))
+        coords = rng.integers(0, p, size=(n, d + 1))
+        poly = _restrict_quadric(form, coords, p)
+        assert len(poly) == 2 * d + 1
+        for u in (int(x) for x in rng.integers(0, p, size=5)):
+            x = [_value(row, u, p) for row in coords]
+            direct = sum(
+                int(form[i, j]) * x[i] * x[j] for i in range(n) for j in range(i, n)
+            ) % p
+            assert _value(poly, u, p) == direct
+        for pt in _quadric_points(form, coords, p, rng):
+            assert int(pt @ (form @ pt % p) % p) == 0
+
+
+def test_quadric_points_on_a_curve_inside_the_quadric():
+    p = 101
+    form = np.zeros((3, 3), dtype=np.int64)
+    form[0, 1] = 1  # Z1 * Z2 contains the line Z1 = 0
+    line = np.array([[0, 0], [3, 1], [4, 5]])
+    assert _quadric_points(form, line, p, np.random.default_rng(29)).tolist() == [[0, 3, 4]]

@@ -227,8 +227,24 @@ def _two_of_six_quadrics(data):
     data["quadrics"]["rows"] = data["quadrics"]["rows"][:2]
 
 
+def _witness_off_the_curve(data):
+    data["sample_points"][0][0] += 1
+
+
+def _surface_not_in_curve_ideal(data):
+    data["surface_quadrics"]["rows"][0] = data["quadrics"]["rows"][0][::-1]
+
+
 @pytest.mark.parametrize(
-    "edit", [_drop_seed, _huge_coefficient, _relabel_fourgonal, _two_of_six_quadrics]
+    "edit",
+    [
+        _drop_seed,
+        _huge_coefficient,
+        _relabel_fourgonal,
+        _two_of_six_quadrics,
+        _witness_off_the_curve,
+        _surface_not_in_curve_ideal,
+    ],
 )
 def test_malformed_model_files_exit_2(tmp_path, capsys, edit):
     data = model_to_dict(delpezzo_curve(6, seed=93))
@@ -237,6 +253,18 @@ def test_malformed_model_files_exit_2(tmp_path, capsys, edit):
         model_from_dict(data)
     model_path = tmp_path / "m.json"
     model_path.write_text(json.dumps(data))
+    assert main(["analyze", str(model_path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", None])
+def test_cli_unreadable_model_file_exits_2(tmp_path, capsys, content):
+    model_path = tmp_path / "m.json"  # not written when content is None
+    if content is not None:
+        model_path.write_text(content)
+        with pytest.raises(ModelInconsistencyError):
+            model_from_dict(json.loads(content))
     assert main(["analyze", str(model_path), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

@@ -84,6 +84,31 @@ def test_kernel_basis_annihilates_and_has_oracle_dimension():
             assert not (mat @ ker.basis.T % P).any()
 
 
+@pytest.mark.parametrize("p", [3, 5, 101, 1000003])
+def test_kernel_basis_is_the_canonical_basis_of_the_kernel(p):
+    rng = np.random.default_rng(p)
+    shapes = [(3, 0), (0, 4), (0, 0), (4, 4), (5, 3), (3, 5)]
+    shapes += [tuple(int(x) for x in rng.integers(1, 9, size=2)) for _ in range(30)]
+    for n, m in shapes:
+        k = int(rng.integers(0, min(n, m) + 1))
+        mat = rng.integers(0, p, size=(n, k)) @ rng.integers(0, p, size=(k, m)) % p
+        if (n, m) == (4, 4):
+            mat = np.zeros((4, 4), dtype=np.int64)  # rank 0
+        elif (n, m) == (3, 5):
+            mat = np.eye(3, 5, dtype=np.int64)  # full rank
+        rk, red, piv = oracle_rref([list(map(int, r)) for r in mat], p)
+        free = [c for c in range(m) if c not in piv]
+        vecs = np.zeros((len(free), m), dtype=np.int64)
+        for row, c in enumerate(free):
+            vecs[row, c] = 1
+            for i, col in enumerate(piv):
+                vecs[row, col] = -red[i][c] % p
+        ker = kernel_basis(mat, p)
+        want = Subspace.from_rows(vecs, m, p)
+        assert ker == want and ker.pivot_cols == want.pivot_cols
+        assert not ker.basis.flags.writeable
+
+
 def test_solve_consistent_and_inconsistent():
     rng = np.random.default_rng(5)
     mat = rng.integers(0, P, size=(4, 6))
