@@ -6,14 +6,20 @@ caller), so clarity beats asymptotics here.
 
 Witness points of every model come from one recipe: parametrise a rational
 curve x(u) on the surface, restrict the extra quadric Q to it and keep the
-points at the GF(p)-roots of Q(x(u)).
+points at the GF(p)-roots of Q(x(u)).  One collector gathers them: it keeps
+projectively distinct points only, at most 24 per model, and stops after
+one shared budget of WITNESS_DRAWS draws per requested point.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .linalg import inverse_mod
+
+WITNESS_DRAWS = 12  # draw() calls allowed per requested witness point
 
 
 def legendre(a: int, p: int) -> int:
@@ -161,9 +167,12 @@ def _restrict_quadric(form: np.ndarray, coords: np.ndarray, p: int) -> list[int]
     of 2.  ``coords`` is the (n, d+1) coefficient array of x(u), entries in
     [0, p); u^k collects the anti-diagonal a + b = k of coords^T form coords.
     """
-    gram = coords.T @ (form @ coords % p) % p
-    n = len(gram)
-    return [int(np.trace(gram[:, ::-1], offset=n - 1 - k)) % p for k in range(2 * n - 1)]
+    gram = (coords.T @ (form @ coords % p) % p).tolist()
+    poly = [0] * (2 * len(gram) - 1)
+    for a, row in enumerate(gram):
+        for b, entry in enumerate(row):
+            poly[a + b] += entry
+    return [c % p for c in poly]
 
 
 def _quadric_points(
@@ -177,8 +186,30 @@ def _quadric_points(
     poly = _restrict_quadric(form, coords, p)
     if not any(poly):
         return coords[:, :1].T
-    us = np.array(roots(poly, p, rng), dtype=np.int64)
-    powers = np.ones((len(us), coords.shape[1]), dtype=np.int64)
-    for k in range(1, coords.shape[1]):
-        powers[:, k] = powers[:, k - 1] * us % p
+    us = roots(poly, p, rng)
+    if not us:
+        return coords[:, :0].T
+    powers = np.array([[pow(u, k, p) for k in range(coords.shape[1])] for u in us], dtype=np.int64)
     return powers @ coords.T % p
+
+
+def _collect_points(draw: Callable[[], np.ndarray], count: int, p: int) -> np.ndarray:
+    """Up to count projectively distinct points from repeated draw() calls.
+
+    Each call returns a (k, n) array of candidates.  Zero rows are dropped,
+    points are keyed on their normal form (first nonzero entry scaled to 1)
+    and the first-drawn representative of each key is kept as is.  Stops at
+    count points or after WITNESS_DRAWS * count calls, so the (k, n) result
+    may hold fewer points, or none.
+    """
+    kept: dict[tuple[int, ...], np.ndarray] = {}
+    rows = np.zeros((0, 0), dtype=np.int64)
+    for _ in range(WITNESS_DRAWS * count):
+        if len(kept) >= count:
+            break
+        rows = draw()
+        for pt in rows[rows.any(axis=1)]:
+            key = tuple((pt * inverse_mod(int(pt[np.flatnonzero(pt)[0]]), p) % p).tolist())
+            if len(kept) < count:
+                kept.setdefault(key, pt)
+    return np.array(list(kept.values()), dtype=np.int64).reshape(len(kept), rows.shape[1])

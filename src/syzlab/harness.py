@@ -104,6 +104,8 @@ def analyze_model(
     bidegrees recovered from the ideal; disagreement is a warning, not an
     error, since it indicates a mislabeled model rather than a wrong span.
     """
+    if not isinstance(model, CurveModel):
+        raise ModelInconsistencyError("analysis needs a curve model")
     ring = GradedRing(model.genus, model.prime)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -218,6 +220,8 @@ def theorem_sweep(
         raise ValueError(
             f"genus range must lie within [5, 13], got {genus_lo}..{genus_hi}"
         )
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     p = check_prime(prime)
     records: list[dict] = []
     for genus in range(genus_lo, genus_hi + 1):

@@ -63,11 +63,11 @@ def check_prime(p: int) -> int:
 
 
 def inverse_mod(a: int, p: int) -> int:
-    """Multiplicative inverse of a nonzero residue (Fermat)."""
+    """Multiplicative inverse of a nonzero residue."""
     a %= p
     if a == 0:
         raise ZeroDivisionError("zero has no inverse")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 def _as_matrix(mat, p: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 A model stores exactly what analysis needs: the quadric ideal piece of the
 curve, optionally the quadrics of the surface it is expected to sweep out,
-and best-effort witness points (possibly None) for cheap vanishing
-spot-checks; loading a model file checks that they vanish.
+and best-effort witness points (possibly None; for a curve, at most 24
+projectively distinct ones found under one draw budget) for cheap
+vanishing spot-checks; loading a model file checks that they vanish.
 """
 
 from __future__ import annotations

@@ -168,12 +168,7 @@ class GradedRing:
         Q_0..Q_{m-1} is the canonical basis of ``quadrics``.
         """
         self._check_quadrics(quadrics)
-        g, m = self.num_vars, quadrics.dim
-        table = self.product_table(1, 2)
-        mat = np.zeros((g * m, self.dim(3)), dtype=np.int64)
-        for v in range(g):
-            mat[v * m : (v + 1) * m, table[v]] = quadrics.basis
-        return mat
+        return self._multiples(quadrics, 3)
 
     def ideal_piece(self, quadrics: Subspace, degree: int) -> Subspace:
         """Degree-d piece of the ideal generated by the given quadrics (2 <= d <= 4)."""
@@ -184,13 +179,16 @@ class GradedRing:
             raise UnsupportedDegreeError(
                 f"ideal pieces are materialized for degrees 2..4 only, got {degree}"
             )
+        return Subspace.from_rows(self._multiples(quadrics, degree), self.dim(degree), self.prime)
+
+    def _multiples(self, quadrics: Subspace, degree: int) -> np.ndarray:
+        """Rows monomial_i(degree - 2) * Q_j in the degree-d piece, row i*m + j."""
         m = quadrics.dim
-        dmon = self.dim(degree - 2)
         table = self.product_table(degree - 2, 2)
-        rows = np.zeros((dmon * m, self.dim(degree)), dtype=np.int64)
-        for mi in range(dmon):
-            rows[mi * m : (mi + 1) * m, table[mi]] = quadrics.basis
-        return Subspace.from_rows(rows, self.dim(degree), self.prime)
+        rows = np.zeros((len(table) * m, self.dim(degree)), dtype=np.int64)
+        for i, cols in enumerate(table):
+            rows[i * m : (i + 1) * m, cols] = quadrics.basis
+        return rows
 
     def _check_quadrics(self, quadrics: Subspace) -> None:
         if quadrics.prime != self.prime or quadrics.ambient_dim != self.dim(2):

@@ -33,7 +33,7 @@ from .errors import (
     RollingFactorsInputError,
     TwistedSectionError,
 )
-from .gfpoly import _quadric_points, _restrict_quadric
+from .gfpoly import _collect_points, _quadric_points, _restrict_quadric
 from .linalg import (
     DEFAULT_PRIME,
     Subspace,
@@ -128,12 +128,7 @@ class ScrollFrame:
 
     def columns(self) -> list[tuple[int, int]]:
         """(top, bottom) ambient index pairs of the determinantal matrix."""
-        cols = []
-        for i in range(3):
-            off = self.offsets[i]
-            for c in range(self.k[i]):
-                cols.append((off + c, off + c + 1))
-        return cols
+        return [(off + c, off + c + 1) for off, k in zip(self.offsets, self.k) for c in range(k)]
 
 
 def scroll_matrix(frame: ScrollFrame) -> np.ndarray:
@@ -193,11 +188,10 @@ class Section2H:
     def __post_init__(self) -> None:
         if len(self.blocks) != len(PAIRS):
             raise ValueError("a section needs one block per ruling pair")
-        for (i, j), block in zip(PAIRS, self.blocks):
-            want = max(0, self.frame.k[i] + self.frame.k[j] - self.twist + 1)
+        for pair, block, want in zip(PAIRS, self.blocks, section_dims(self.frame, self.twist)):
             if len(block) != want:
                 raise DimensionMismatchError(
-                    f"block {(i, j)} must hold {want} coefficients, got {len(block)}"
+                    f"block {pair} must hold {want} coefficients, got {len(block)}"
                 )
 
     def is_zero(self) -> bool:
@@ -226,11 +220,7 @@ def section_from_coords(frame: ScrollFrame, twist: int, coords) -> Section2H:
         raise DimensionMismatchError(
             f"expected {sum(dims)} coordinates for twist {twist}, got {vec.shape}"
         )
-    blocks, pos = [], 0
-    for d in dims:
-        blocks.append(vec[pos : pos + d].copy())
-        pos += d
-    return Section2H(frame, twist, tuple(blocks))
+    return Section2H(frame, twist, tuple(np.split(vec.copy(), np.cumsum(dims)[:-1])))
 
 
 def random_section(
@@ -472,7 +462,8 @@ def _conic_point(mat: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarra
 def _conic_fibre_points(
     m1: np.ndarray, m2: np.ndarray, p: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Common zeros of two conics in P^2 (possibly empty), leading entry 1."""
+    """Common zeros of two conics in P^2 (possibly empty, possibly repeated),
+    each scaled to leading entry 1."""
     base = _conic_point(m1, p, rng)
     if base is None:
         return []
@@ -491,12 +482,8 @@ def _conic_fibre_points(
     def on_conic(m: np.ndarray) -> np.ndarray:
         return ((cands @ m % p) * cands).sum(axis=1) % p == 0
 
-    found: list[np.ndarray] = []
-    for pt in cands[cands.any(axis=1) & on_conic(m1) & on_conic(m2)]:
-        pt = pt * inverse_mod(int(pt[np.nonzero(pt)[0][0]]), p) % p
-        if not any(np.array_equal(pt, q) for q in found):
-            found.append(pt)
-    return found
+    found = cands[cands.any(axis=1) & on_conic(m1) & on_conic(m2)]
+    return [pt * inverse_mod(int(pt[np.flatnonzero(pt)[0]]), p) % p for pt in found]
 
 
 def fourgonal_point_sample(
@@ -507,27 +494,24 @@ def fourgonal_point_sample(
     prime: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Points of the curve cut by q1, q2 on the scroll, fibre by fibre.
+    """Projectively distinct points of the curve cut by q1, q2 on the
+    scroll, one random fibre per draw.
 
     May return fewer than count points (even none): over GF(p) a curve
     whose fibre conic is a fixed irreducible binary form meets almost
     every rational fibre in conjugate, irrational point pairs.
     """
     p = check_prime(prime)
-    pts: list[np.ndarray] = []
-    for _ in range(4 * count + 40):
-        if len(pts) >= count:
-            break
+
+    def draw() -> np.ndarray:
         s, t = int(rng.integers(0, p)), int(rng.integers(0, p))
-        if s == 0 and t == 0:
-            continue
         m1 = _conic_matrix(q1, (s, t), p)
         m2 = _conic_matrix(q2, (s, t), p)
-        if not m1.any() or not m2.any():
-            continue
-        for x in _conic_fibre_points(m1, m2, p, rng):
-            pts.append(_embed_point(frame, (s, t), x, p))
-    return np.array(pts[:count], dtype=np.int64).reshape(-1, frame.genus)
+        fibre = _conic_fibre_points(m1, m2, p, rng) if (s or t) and m1.any() and m2.any() else []
+        pts = [_embed_point(frame, (s, t), x, p) for x in fibre]
+        return np.array(pts, dtype=np.int64).reshape(-1, frame.genus)
+
+    return _collect_points(draw, count, p)
 
 
 # -- rolling factors ----------------------------------------------------------
@@ -609,11 +593,10 @@ def rolling_factors(
     q2 = ring.zero(2)
     for j, (_, w) in enumerate(cols):
         q2 = _add(ring, q2, ring.multiply(ring.vector(1, a_forms[j]), ring.variable(w)))
-    h_top = np.zeros(ring.num_vars, dtype=np.int64)
-    h_bot = np.zeros(ring.num_vars, dtype=np.int64)
-    for k, (y, w) in enumerate(cols):
-        h_top[y] = (h_top[y] + alpha[k]) % p
-        h_bot[w] = (h_bot[w] + alpha[k]) % p
+    h_top, h_bot = np.zeros((2, ring.num_vars), dtype=np.int64)
+    tops, bottoms = scroll_matrix(frame)
+    np.add.at(h_top, tops, alpha)
+    np.add.at(h_bot, bottoms, alpha)
     delta = {}
     for j in range(len(cols)):
         for k in range(j + 1, len(cols)):
@@ -652,12 +635,10 @@ def rolling_syzygy(
     """The witness as a (g, dim S^2) linear syzygy among ambient quadrics."""
     cols = frame.columns()
     p = ring.prime
-    g = ring.num_vars
-    gamma = np.zeros((g, ring.dim(2)), dtype=np.int64)
-    for v in range(g):
-        row = witness.h_bot.coeffs[v] * witness.q1.coeffs % p
-        row = (row - witness.h_top.coeffs[v] * witness.q2.coeffs) % p
-        gamma[v] = row
+    gamma = (
+        np.outer(witness.h_bot.coeffs, witness.q1.coeffs)
+        - np.outer(witness.h_top.coeffs, witness.q2.coeffs)
+    ) % p
     for (j, k), form in witness.delta.items():
         minor = _minor(ring, cols[j], cols[k])
         for v in np.nonzero(form.coeffs)[0]:
@@ -680,12 +661,8 @@ def scroll_ring_syzygies(
     p = ring.prime
     g = ring.num_vars
     dims3 = [frame.k[a] + frame.k[b] + frame.k[c] + 1 for a, b, c in TRIPLES]
-    offsets = {}
-    pos = 0
-    for triple, d in zip(TRIPLES, dims3):
-        offsets[triple] = pos
-        pos += d
-    total3 = pos  # equals 10g - 20
+    offsets = dict(zip(TRIPLES, np.cumsum([0] + dims3[:-1])))
+    total3 = sum(dims3)  # equals 10g - 20
     n = len(sections)
     mat = np.zeros((g * n, total3), dtype=np.int64)
     for r, sec in enumerate(sections):
@@ -709,13 +686,9 @@ def embed_section_syzygies(
 ) -> Subspace:
     """Re-index syzygies on a sub-list of sections into the full list."""
     n_part = sub.ambient_dim // g
-    rows = np.zeros((sub.dim, g * n_total), dtype=np.int64)
-    for r in range(sub.dim):
-        part = sub.basis[r].reshape(g, n_part)
-        full = np.zeros((g, n_total), dtype=np.int64)
-        full[:, col_offset : col_offset + n_part] = part
-        rows[r] = full.reshape(-1)
-    return Subspace.from_rows(rows, g * n_total, sub.prime)
+    rows = np.zeros((sub.dim, g, n_total), dtype=np.int64)
+    rows[:, :, col_offset : col_offset + n_part] = sub.basis.reshape(sub.dim, g, n_part)
+    return Subspace.from_rows(rows.reshape(sub.dim, g * n_total), g * n_total, sub.prime)
 
 
 # -- the 4-gonal curve constructor -------------------------------------------

@@ -6,7 +6,8 @@ base points, and the cubic Veronese at g = 10.  Each surface ideal is the
 exact kernel I_2 = ker(Sym^2 H^0(L) -> H^0(L^2)) of multiplying the
 coordinate functions pairwise, which is all of I_2 because these
 embeddings are projectively normal.  Witness points are best effort: a
-model stores whatever GF(p)-points its sampler finds, or None.
+curve model stores up to 24 projectively distinct GF(p)-points, gathered
+under one draw budget, or None when none turns up.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GenericityExhaustedError, ModelInconsistencyError
-from .gfpoly import _quadric_points, sqrt_mod
+from .gfpoly import _collect_points, _quadric_points, sqrt_mod
 from .linalg import (
     DEFAULT_PRIME,
     Subspace,
     check_prime,
     kernel_basis,
-    rank,
 )
 from .models import (
     BIELLIPTIC,
@@ -91,16 +91,20 @@ def weierstrass_points(
     for _ in range(64 * count + 256):
         if len(pts) >= count:
             break
-        x = int(rng.integers(0, p))
-        rhs = (pow(x, 3, p) + curve.a4 * x + curve.a6) % p
-        y = sqrt_mod(rhs, p)
-        if y is None:
-            continue
-        for cand in ((x, y), (x, (-y) % p)):
+        for cand in _points_over(curve, int(rng.integers(0, p))):
             if cand not in seen and len(pts) < count:
                 seen.add(cand)
                 pts.append(cand)
     return np.array(pts, dtype=np.int64).reshape(-1, 2)
+
+
+def _points_over(curve: WeierstrassCurve, x: int) -> list[tuple[int, int]]:
+    """The affine points (x, y), (x, -y) of the curve over x: none, one or two."""
+    p = curve.prime
+    y = sqrt_mod(pow(x, 3, p) + curve.a4 * x + curve.a6, p)
+    if y is None:
+        return []
+    return [(x, y)] if y == 0 else [(x, y), (x, p - y)]
 
 
 def pole_order_basis(n: int) -> list[tuple[int, int]]:
@@ -295,7 +299,7 @@ def bielliptic_curve(
         raise ModelInconsistencyError(
             f"bielliptic ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2)}"
         )
-    points = _bielliptic_points(surface, quad, ring, 24, rng)
+    points = _bielliptic_points(curve, quad, ring, 24, rng)
     return CurveModel(
         family=BIELLIPTIC,
         genus=genus,
@@ -303,39 +307,34 @@ def bielliptic_curve(
         seed=int(seed),
         quadrics=quadrics,
         surface_quadrics=surface.quadrics,
-        sample_points=points,
+        sample_points=points if len(points) else None,
         params={"a4": curve.a4, "a6": curve.a6},
     )
 
 
 def _bielliptic_points(
-    surface: SurfaceModel,
+    curve: WeierstrassCurve,
     quad: np.ndarray,
     ring: GradedRing,
     count: int,
     rng: np.random.Generator,
-) -> Optional[np.ndarray]:
-    """Points of S cap {Q = 0}: the roots of Q along cone rulings.
-
-    None when no GF(p)-point turns up.
+) -> np.ndarray:
+    """Points of S cap {Q = 0}, S the cone over E: the roots of Q along the
+    rulings base + u * vertex through the points (x, +-y) of E over one
+    random x per draw.
     """
-    p = ring.prime
-    assert surface.sample_points is not None
-    curve_pts = surface.sample_points[1:]  # skip the vertex
-    if len(curve_pts) == 0:
-        return None
+    p, g = ring.prime, ring.num_vars
     form = np.triu(quad[ring.product_table(1, 1)])
-    pts: list[np.ndarray] = []
-    for _ in range(8 * count):
-        if len(pts) >= count:
-            break
-        ruling = np.zeros((ring.num_vars, 2), dtype=np.int64)  # base + u * vertex
-        ruling[1:, 0] = curve_pts[int(rng.integers(0, len(curve_pts))), 1:]
-        ruling[0, 1] = 1
-        for pt in _quadric_points(form, ruling, p, rng):
-            if len(pts) < count and not any(np.array_equal(pt, q) for q in pts):
-                pts.append(pt)
-    return np.array(pts, dtype=np.int64) if pts else None
+    vertex = np.eye(g, 1, dtype=np.int64)[:, 0]
+
+    def draw() -> np.ndarray:
+        over = np.array(_points_over(curve, int(rng.integers(0, p))), dtype=np.int64)
+        bases = np.zeros((len(over), g), dtype=np.int64)
+        bases[:, 1:] = embed_points(curve, g - 1, over.reshape(-1, 2))
+        found = [_quadric_points(form, np.column_stack([b, vertex]), p, rng) for b in bases]
+        return np.vstack([np.zeros((0, g), dtype=np.int64), *found])
+
+    return _collect_points(draw, count, p)
 
 
 # -- Del Pezzo and Veronese surfaces ------------------------------------------
@@ -344,18 +343,16 @@ def _bielliptic_points(
 def _plane_cubic_basis(
     base_points: np.ndarray, ring3: GradedRing
 ) -> Optional[Subspace]:
-    """Cubics through the base points, or None when conditions are dependent."""
-    if len(base_points) == 0:
-        return Subspace.full(ring3.dim(3), ring3.prime)
-    rows = ring3.evaluate_monomials(3, base_points)
-    if rank(rows, ring3.prime) != len(base_points):
-        return None
-    return kernel_basis(rows, ring3.prime)
+    """Cubics through the base points, or None unless each point imposes
+    one condition (general position: kernel dimension 10 - #points)."""
+    cubics = kernel_basis(ring3.evaluate_monomials(3, base_points), ring3.prime)
+    return cubics if cubics.dim == ring3.dim(3) - len(base_points) else None
 
 
 def _delpezzo_surface_rng(
     genus: int, seed, prime: int, rng: np.random.Generator
-) -> SurfaceModel:
+) -> tuple[SurfaceModel, Subspace]:
+    """The surface and the cubic basis (its coordinate functions)."""
     if not 6 <= genus <= 10:
         raise ValueError(f"plane-cubic surfaces exist for genus 6..10, got {genus}")
     p = check_prime(prime)
@@ -403,7 +400,7 @@ def _delpezzo_surface_rng(
         quadrics=quadrics,
         sample_points=images if len(images) else None,
         params={"base_points": [[int(c) for c in row] for row in base]},
-    )
+    ), cubics
 
 
 def delpezzo_surface(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> SurfaceModel:
@@ -412,14 +409,14 @@ def delpezzo_surface(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> Surfa
     Degree g-1 in P^{g-1}: an honest Del Pezzo for g in 6..9 and the cubic
     Veronese embedding of the whole plane at g = 10.
     """
-    return _delpezzo_surface_rng(genus, seed, prime, np.random.default_rng(seed))
+    return _delpezzo_surface_rng(genus, seed, prime, np.random.default_rng(seed))[0]
 
 
 def delpezzo_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveModel:
     """Canonical curve cut on a plane-cubic surface by one extra quadric."""
     p = check_prime(prime)
     rng = np.random.default_rng(seed)
-    surface = _delpezzo_surface_rng(genus, seed, p, rng)
+    surface, cubics = _delpezzo_surface_rng(genus, seed, p, rng)
     ring_g = GradedRing(genus, p)
     for _ in range(MAX_REDRAWS):
         quad = rng.integers(0, p, size=ring_g.dim(2), dtype=np.int64)
@@ -432,7 +429,7 @@ def delpezzo_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveMo
         raise ModelInconsistencyError(
             f"curve ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2)}"
         )
-    points = _delpezzo_curve_points(surface, quad, ring_g, 24, rng)
+    points = _delpezzo_curve_points(cubics, quad, ring_g, 24, rng)
     family = VERONESE if genus == 10 else DELPEZZO
     return CurveModel(
         family=family,
@@ -441,44 +438,36 @@ def delpezzo_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveMo
         seed=int(seed),
         quadrics=quadrics,
         surface_quadrics=surface.quadrics,
-        sample_points=points,
+        sample_points=points if len(points) else None,
         params={"base_points": surface.params["base_points"]},
     )
 
 
 def _delpezzo_curve_points(
-    surface: SurfaceModel,
+    cubics: Subspace,
     quad: np.ndarray,
     ring_g: GradedRing,
     count: int,
     rng: np.random.Generator,
-) -> Optional[np.ndarray]:
+) -> np.ndarray:
     """Points of S cap {Q = 0} by solving along pencils of plane lines.
 
-    Restricting Q to the image of the line {x = u} gives a degree-6
-    polynomial in the remaining coordinate; its GF(p) roots map to points
-    of the curve.  None when no GF(p)-point turns up.
+    Restricting Q to the image under ``cubics`` of the line {x = u}, one
+    random u per draw, gives a degree-6 polynomial in the remaining
+    coordinate; its GF(p) roots map to points of the curve.
     """
     p = ring_g.prime
-    ring3 = GradedRing(3, p)
-    cubics = _plane_cubic_basis(
-        np.array(surface.params["base_points"], dtype=np.int64).reshape(-1, 3), ring3
-    )
-    assert cubics is not None
     form = np.triu(quad[ring_g.product_table(1, 1)])
-    alpha, beta, _ = ring3.exponents(3).T
-    pts: list[np.ndarray] = []
-    for _ in range(12 * count):
-        if len(pts) >= count:
-            break
+    alpha, beta, _ = GradedRing(3, p).exponents(3).T
+
+    def draw() -> np.ndarray:
         u = int(rng.integers(0, p))
         # monomial x^alpha y^beta z^gamma at (u, v, 1) is u^alpha * v^beta
         on_line = np.zeros((len(alpha), 4), dtype=np.int64)
         on_line[np.arange(len(alpha)), beta] = [pow(u, int(a), p) for a in alpha]
-        for img in _quadric_points(form, cubics.basis @ on_line % p, p, rng):
-            if img.any() and len(pts) < count and not any(np.array_equal(img, q) for q in pts):
-                pts.append(img)
-    return np.array(pts, dtype=np.int64) if pts else None
+        return _quadric_points(form, cubics.basis @ on_line % p, p, rng)
+
+    return _collect_points(draw, count, p)
 
 
 # -- genus 5 ------------------------------------------------------------------

@@ -63,3 +63,16 @@ def oracle_eval_quadric(coeffs, exponents, point, p: int) -> int:
                 term = term * (int(point[var]) % p) % p
         total = (total + term) % p
     return total
+
+
+def oracle_projective_classes(points, p: int) -> set[tuple[int, ...]]:
+    """Distinct points of P^n among the nonzero rows: each row scaled so
+    that its first nonzero entry is 1."""
+    classes = set()
+    for row in points:
+        row = [int(x) % p for x in row]
+        lead = next((x for x in row if x), 0)
+        if lead:
+            inv = pow(lead, p - 2, p)
+            classes.add(tuple(x * inv % p for x in row))
+    return classes

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from syzlab.gfpoly import (
+    WITNESS_DRAWS,
+    _collect_points,
     _quadric_points,
     _restrict_quadric,
     legendre,
@@ -133,3 +135,38 @@ def test_quadric_points_on_a_curve_inside_the_quadric():
     form[0, 1] = 1  # Z1 * Z2 contains the line Z1 = 0
     line = np.array([[0, 0], [3, 1], [4, 5]])
     assert _quadric_points(form, line, p, np.random.default_rng(29)).tolist() == [[0, 3, 4]]
+
+
+def _draws(*batches):
+    """A draw() that hands out the given (k, n) batches in order, then empties."""
+    it = iter(batches)
+    return lambda: np.array(next(it, np.zeros((0, 3))), dtype=np.int64).reshape(-1, 3)
+
+
+def test_collector_keys_on_the_normal_form_and_keeps_the_first_representative():
+    p = 7
+    # (2, 4, 6) ~ (1, 2, 3) ~ (3, 6, 2); (0, 3, 1) ~ (0, 1, 5)
+    draw = _draws([[2, 4, 6], [0, 3, 1]], [[1, 2, 3], [0, 1, 5], [3, 6, 2]], [[5, 1, 1]])
+    pts = _collect_points(draw, 5, p)
+    assert pts.tolist() == [[2, 4, 6], [0, 3, 1], [5, 1, 1]]
+
+
+def test_collector_drops_zero_rows_and_caps_the_count():
+    p = 101
+    draw = _draws([[0, 0, 0], [1, 0, 0]], [[0, 0, 0]], [[0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    assert _collect_points(draw, 2, p).tolist() == [[1, 0, 0], [0, 1, 0]]
+    # a repeat early in a draw does not crowd out a new point behind it
+    draw = _draws([[1, 0, 0]], [[2, 0, 0], [0, 1, 0]])
+    assert _collect_points(draw, 2, p).tolist() == [[1, 0, 0], [0, 1, 0]]
+
+
+def test_collector_budget_and_empty_result():
+    calls = []
+
+    def draw():
+        calls.append(1)
+        return np.zeros((1, 4), dtype=np.int64)
+
+    pts = _collect_points(draw, 3, 101)
+    assert pts.shape == (0, 4)
+    assert len(calls) == WITNESS_DRAWS * 3

@@ -32,7 +32,7 @@ from syzlab.io import (
 from syzlab.linalg import DEFAULT_PRIME, Subspace
 from syzlab.ring import GradedRing
 from syzlab.scroll import ScrollFrame, fourgonal_curve
-from syzlab.surfaces import bielliptic_curve, delpezzo_curve, delpezzo_surface
+from syzlab.surfaces import bielliptic_curve, delpezzo_curve, delpezzo_surface, elliptic_cone
 
 P = DEFAULT_PRIME
 
@@ -192,6 +192,14 @@ def test_cli_verify_theorem_small_prime(capsys):
     assert "29/29 checks passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_cli_verify_theorem_without_trials_exits_2(capsys, trials):
+    # a check that ran nothing must not count as passed
+    assert main(["verify-theorem", "--genus-range", "5..6", "--trials", trials]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and trials in err
+
+
 def test_cli_bad_input_exits_2(tmp_path, capsys):
     assert main(["construct", "fourgonal", "--out", str(tmp_path / "x.json")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -258,10 +266,15 @@ def test_malformed_model_files_exit_2(tmp_path, capsys, edit):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("content", ["[1, 2]", None])
+@pytest.mark.parametrize("content", ["[1, 2]", None, "surface"])
 def test_cli_unreadable_model_file_exits_2(tmp_path, capsys, content):
     model_path = tmp_path / "m.json"  # not written when content is None
-    if content is not None:
+    if content == "surface":
+        # a valid file, but of a surface: there is no curve to analyze
+        save_model(elliptic_cone(7, seed=1), model_path)
+        with pytest.raises(ModelInconsistencyError):
+            analyze_model(load_model(model_path))
+    elif content is not None:
         model_path.write_text(content)
         with pytest.raises(ModelInconsistencyError):
             model_from_dict(json.loads(content))

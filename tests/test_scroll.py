@@ -5,12 +5,15 @@ from math import comb
 import numpy as np
 import pytest
 
+from oracles import oracle_projective_classes
+
 from syzlab.errors import (
     DegenerateScrollError,
     ModelInconsistencyError,
     RollingFactorsInputError,
     TwistedSectionError,
 )
+from syzlab.harness import construct_model
 from syzlab.linalg import DEFAULT_PRIME, Subspace, kernel_basis
 from syzlab.ring import GradedRing
 from syzlab.scroll import (
@@ -270,14 +273,21 @@ def test_fourgonal_requires_matching_twists():
 
 def test_fourgonal_point_sample_lies_on_the_curve():
     frame = ScrollFrame((1, 2, 2))
-    ring = GradedRing(frame.genus, P)
-    model = fourgonal_curve(frame, 1, 2, seed=41)
-    q1, q2 = fourgonal_sections(model)
-    rng = np.random.default_rng(42)
-    pts = fourgonal_point_sample(frame, q1, q2, 10, P, rng)
-    assert 0 < len(pts) <= 10
-    vals = ring.evaluate_monomials(2, pts) @ model.quadrics.basis.T % P
-    assert not vals.any()
+    for p in (P, 7):
+        ring = GradedRing(frame.genus, p)
+        model = fourgonal_curve(frame, 1, 2, seed=41, prime=p)
+        q1, q2 = fourgonal_sections(model)
+        rng = np.random.default_rng(42)
+        pts = fourgonal_point_sample(frame, q1, q2, 10, p, rng)
+        assert 0 < len(pts) <= 10
+        vals = ring.evaluate_monomials(2, pts) @ model.quadrics.basis.T % p
+        assert not vals.any()
+        # a fibre drawn twice must not store its points twice
+        assert len(oracle_projective_classes(pts, p)) == len(pts)
+    for g in range(6, 14):
+        stored = construct_model("fourgonal", genus=g, prime=7, seed=g).sample_points
+        assert stored is not None
+        assert len(oracle_projective_classes(stored, 7)) == len(stored)
 
 
 def test_bidegree_recovery_matches_construction():

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from oracles import oracle_eval_quadric
+from oracles import oracle_eval_quadric, oracle_projective_classes
 
 from syzlab.harness import construct_model
 from syzlab.koszul import classify_theorem
@@ -117,7 +117,9 @@ def test_bielliptic_curve_shape():
         # the branch quadric is nonzero at the vertex: the curve misses it
         vertex_sq = ring.index_of([2] + [0] * (g - 1))
         assert model.quadrics.basis[:, vertex_sq].any()
-        assert model.sample_points is not None and len(model.sample_points) > 0
+        # rulings through fresh points of E give 24 projectively distinct witnesses
+        pts = model.sample_points
+        assert pts is not None and len(oracle_projective_classes(pts, P)) == len(pts) == 24
         vals = ring.evaluate_monomials(2, model.sample_points) @ model.quadrics.basis.T % P
         assert not vals.any()
         # spot-check one vanishing statement against the hand-rolled oracle
@@ -200,10 +202,12 @@ def test_constructions_are_seed_deterministic():
 )
 def test_surface_families_over_small_primes(family, genus, prime):
     # few GF(p)-points exist here; the ideals must not depend on them and
-    # whatever witnesses were found must still lie on the curve
+    # whatever witnesses were found must still lie on the curve, each once
     model = construct_model(family, genus=genus, prime=prime, seed=0)
     assert classify_theorem(model).passed
     if model.sample_points is not None:
         ring = GradedRing(genus, prime)
         vals = ring.evaluate_monomials(2, model.sample_points) @ model.quadrics.basis.T
         assert not (vals % prime).any()
+        pts = model.sample_points
+        assert len(oracle_projective_classes(pts, prime)) == len(pts)
