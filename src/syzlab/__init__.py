@@ -13,10 +13,8 @@ from .errors import (
     GenericityExhaustedError,
     InvalidSyzygyError,
     ModelInconsistencyError,
-    RollingFactorsInputError,
     SizeLimitError,
     SyzlabError,
-    TwistedSectionError,
     UnsupportedDegreeError,
 )
 from .harness import (
@@ -51,11 +49,9 @@ from .linalg import DEFAULT_PRIME, Subspace, kernel_basis, rank, rref
 from .models import CurveModel, SurfaceModel
 from .ring import GradedRing, GradedVector
 from .scroll import (
-    RollingWitness,
     ScrollFrame,
     Section2H,
     fourgonal_curve,
-    rolling_factors,
     scroll_minors,
     scrollar_bidegrees,
 )
@@ -84,8 +80,6 @@ __all__ = [
     "GradedVector",
     "InvalidSyzygyError",
     "ModelInconsistencyError",
-    "RollingFactorsInputError",
-    "RollingWitness",
     "ScrollFrame",
     "Section2H",
     "SizeLimitError",
@@ -93,7 +87,6 @@ __all__ = [
     "SurfaceModel",
     "Syz2Report",
     "SyzlabError",
-    "TwistedSectionError",
     "UnsupportedDegreeError",
     "WeierstrassCurve",
     "analyze_model",
@@ -120,7 +113,6 @@ __all__ = [
     "rank",
     "recovered_bidegrees",
     "render_betti",
-    "rolling_factors",
     "rref",
     "save_model",
     "scroll_minors",

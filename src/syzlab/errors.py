@@ -22,16 +22,8 @@ class DegenerateScrollError(SyzlabError):
     """Scroll frame with fewer than two nonzero blocks has no 2-row matrix."""
 
 
-class TwistedSectionError(SyzlabError):
-    """Only twist-0 sections lift to honest quadrics in the ambient space."""
-
-
-class RollingFactorsInputError(SyzlabError):
-    """Input not expressible in the two-row determinantal format."""
-
-
 class EmptyLinearSystemError(SyzlabError):
-    """A requested linear system on the scroll has no nonzero sections."""
+    """A scroll linear system has no nonzero sections, or none cutting an irreducible curve."""
 
 
 class GenericityExhaustedError(SyzlabError):

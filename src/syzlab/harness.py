@@ -188,15 +188,17 @@ def _sweep_models(genus: int, prime: int, seed: int, trial: int):
                 fourgonal_curve(ScrollFrame.balanced(genus), a, b, base, prime=prime),
             )
         )
-    out.append(
-        (
-            "fourgonal-extremal",
-            fourgonal_curve(
-                ScrollFrame.hosting(genus, genus - 5), genus - 5, 0, base + 1,
-                prime=prime,
-            ),
+    if genus <= 9:
+        # past genus 9 every twist-(g-5) section has singular fibre conics
+        out.append(
+            (
+                "fourgonal-extremal",
+                fourgonal_curve(
+                    ScrollFrame.hosting(genus, genus - 5), genus - 5, 0, base + 1,
+                    prime=prime,
+                ),
+            )
         )
-    )
     out.append((BIELLIPTIC, bielliptic_curve(genus, base + 2, prime=prime)))
     if genus <= 10:
         out.append((DELPEZZO, delpezzo_curve(genus, base + 3, prime=prime)))

@@ -39,6 +39,8 @@ def _subspace_from_payload(
 ) -> Optional[Subspace]:
     if payload is None:
         return None
+    if not isinstance(payload, dict):
+        raise ModelInconsistencyError(f"quadric payload is a JSON {type(payload).__name__}")
     _require(payload, ("ambient_dim", "rows"), "quadric payload")
     if payload["ambient_dim"] != ambient_dim:
         raise ModelInconsistencyError(
@@ -110,8 +112,11 @@ def model_from_dict(data: dict) -> Union[CurveModel, SurfaceModel]:
     if kind_key is None:
         raise ModelInconsistencyError(f"unknown model type {data.get('type')!r}")
     _require(data, ("genus", "prime", "seed", "quadrics", kind_key), "model file")
-    genus = int(data["genus"])
-    prime = check_prime(int(data["prime"]))
+    for key in ("genus", "prime", "seed"):
+        if type(data[key]) is not int:  # bool is an int subclass
+            raise ModelInconsistencyError(f"{key} must be an integer, got {data[key]!r}")
+    genus = data["genus"]
+    prime = check_prime(data["prime"])
     ambient_dim = comb(genus + 1, 2)
     quadrics = _subspace_from_payload(data["quadrics"], prime, ambient_dim)
     if quadrics is None:
@@ -123,7 +128,7 @@ def model_from_dict(data: dict) -> Union[CurveModel, SurfaceModel]:
     common = dict(
         genus=genus,
         prime=prime,
-        seed=int(data["seed"]),
+        seed=data["seed"],
         quadrics=quadrics,
         sample_points=pts,
         params=params,

@@ -291,8 +291,9 @@ def betti_table(
     g = ring.num_vars
     if p_max is None:
         p_max = g - 2
-    if p_max < 0:
-        raise UnsupportedDegreeError(f"p_max must be non-negative, got {p_max}")
+    if not 0 <= p_max <= g:
+        # columns past g are zero: the exterior powers vanish there
+        raise UnsupportedDegreeError(f"p_max must lie in 0..{g}, got {p_max}")
     complex_ = _KoszulComplex(ring, quadrics, max_entries)
     if expected_genus is not None:
         for d in (2, 3, 4):

@@ -30,8 +30,6 @@ from .errors import (
     EmptyLinearSystemError,
     GenericityExhaustedError,
     ModelInconsistencyError,
-    RollingFactorsInputError,
-    TwistedSectionError,
 )
 from .gfpoly import _collect_points, _quadric_points, _restrict_quadric
 from .linalg import (
@@ -39,7 +37,6 @@ from .linalg import (
     Subspace,
     check_prime,
     inverse_mod,
-    kernel_basis,
     rank,
 )
 from .models import FOURGONAL, CurveModel
@@ -47,11 +44,6 @@ from .ring import GradedRing, GradedVector
 
 # fixed enumeration of unordered ruling pairs (i <= j)
 PAIRS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-
-# unordered ruling triples for cubic sections, same enumeration style
-TRIPLES: tuple[tuple[int, int, int], ...] = tuple(
-    itertools.combinations_with_replacement(range(3), 3)
-)
 
 
 @dataclass(frozen=True)
@@ -129,12 +121,6 @@ class ScrollFrame:
     def columns(self) -> list[tuple[int, int]]:
         """(top, bottom) ambient index pairs of the determinantal matrix."""
         return [(off + c, off + c + 1) for off, k in zip(self.offsets, self.k) for c in range(k)]
-
-
-def scroll_matrix(frame: ScrollFrame) -> np.ndarray:
-    """2 x (g-3) array of 0-based ambient variable indices."""
-    cols = frame.columns()
-    return np.array([[y for y, _ in cols], [w for _, w in cols]], dtype=np.int64)
 
 
 def scroll_minors(frame: ScrollFrame, ring: GradedRing) -> Subspace:
@@ -266,12 +252,6 @@ def twist_down(sec: Section2H, form, prime: int) -> Section2H:
     return Section2H(sec.frame, sec.twist - mu, tuple(new_blocks))
 
 
-def evaluate_section(sec: Section2H, st, x, prime: int) -> int:
-    """Value of the section at base point (s:t) and fibre point (x1:x2:x3)."""
-    x = np.asarray(x, dtype=np.int64) % prime
-    return int(x @ (_conic_matrix(sec, st, prime) @ x % prime) % prime)
-
-
 def lift_section(ring: GradedRing, sec: Section2H) -> GradedVector:
     """Quadric in the ambient space restricting to a twist-0 section.
 
@@ -282,9 +262,7 @@ def lift_section(ring: GradedRing, sec: Section2H) -> GradedVector:
     frame = sec.frame
     _check_ring(frame, ring)
     if sec.twist != 0:
-        raise TwistedSectionError(
-            f"only twist-0 sections lift; got twist {sec.twist}"
-        )
+        raise ValueError(f"only twist-0 sections lift; got twist {sec.twist}")
     g = ring.num_vars
     out = np.zeros(ring.dim(2), dtype=np.int64)
     for n, (i, j) in enumerate(PAIRS):
@@ -395,22 +373,6 @@ def scrollar_bidegrees(frame: ScrollFrame, restricted: Subspace) -> tuple[int, i
 # -- point sampling -----------------------------------------------------------
 
 
-def scroll_points(frame: ScrollFrame, n: int, seed, prime: int = DEFAULT_PRIME) -> np.ndarray:
-    """n random points on the scroll (rows of length g)."""
-    p = check_prime(prime)
-    rng = np.random.default_rng(seed)
-    g = frame.num_vars
-    out = np.zeros((n, g), dtype=np.int64)
-    for row in range(n):
-        while True:
-            x = rng.integers(0, p, size=3, dtype=np.int64)
-            s, t = int(rng.integers(0, p)), int(rng.integers(0, p))
-            if x.any() and (s or t):
-                break
-        out[row] = _embed_point(frame, (s, t), x, p)
-    return out
-
-
 def _embed_point(frame: ScrollFrame, st, x, p: int) -> np.ndarray:
     s, t = int(st[0]) % p, int(st[1]) % p
     pt = np.zeros(frame.num_vars, dtype=np.int64)
@@ -514,183 +476,6 @@ def fourgonal_point_sample(
     return _collect_points(draw, count, p)
 
 
-# -- rolling factors ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RollingWitness:
-    """The pieces of one rolling-factors linear syzygy.
-
-    With Y/W the two rows of the scroll matrix, q1 = sum_j A_j Y_j and
-    q2 = sum_j A_j W_j, the linear forms h_top = sum_k alpha_k Y_k and
-    h_bot = sum_k alpha_k W_k satisfy the exact polynomial identity
-
-        h_bot * q1 - h_top * q2 = sum_{j<k} Delta_jk * M_jk,
-
-    with Delta_jk = alpha_k A_j - alpha_j A_k.  (Both sides pick up the
-    cross terms Y_j W_k; pairing h_top with q1 instead would leave
-    uncancelled Y_j Y_k terms, so this orientation is the only one that
-    closes.)
-    """
-
-    q1: GradedVector
-    q2: GradedVector
-    h_top: GradedVector
-    h_bot: GradedVector
-    delta: dict[tuple[int, int], GradedVector]
-
-
-def row_decomposition(
-    frame: ScrollFrame, ring: GradedRing, quad: GradedVector, row: str
-) -> np.ndarray:
-    """Write a quadric as sum_j A_j * (row entry j); returns A as (g-3, g).
-
-    row='top' uses the Y entries, row='bottom' the W entries.  Raises when
-    some monomial involves no variable of the requested row.
-    """
-    _check_ring(frame, ring)
-    if row not in ("top", "bottom"):
-        raise ValueError("row must be 'top' or 'bottom'")
-    cols = frame.columns()
-    which = 0 if row == "top" else 1
-    col_of_var = {pair[which]: j for j, pair in enumerate(cols)}
-    g = ring.num_vars
-    a_forms = np.zeros((len(cols), g), dtype=np.int64)
-    for m in np.nonzero(quad.coeffs)[0]:
-        e = ring.exponents(2)[m]
-        u, v = (int(x) for x in np.repeat(np.arange(g), e))  # Z_u * Z_v, u <= v
-        if u in col_of_var:
-            a_forms[col_of_var[u], v] = (a_forms[col_of_var[u], v] + int(quad.coeffs[m])) % ring.prime
-        elif v in col_of_var:
-            a_forms[col_of_var[v], u] = (a_forms[col_of_var[v], u] + int(quad.coeffs[m])) % ring.prime
-        else:
-            raise RollingFactorsInputError(
-                f"monomial {tuple(int(x) for x in e)} involves no {row}-row variable"
-            )
-    return a_forms
-
-
-def rolling_factors(
-    frame: ScrollFrame, ring: GradedRing, q1: GradedVector, a_forms, alpha
-) -> RollingWitness:
-    """Roll a quadric q1 = sum A_j Y_j to its partner q2 = sum A_j W_j."""
-    _check_ring(frame, ring)
-    p = ring.prime
-    cols = frame.columns()
-    a_forms = np.asarray(a_forms, dtype=np.int64) % p
-    alpha = np.asarray(alpha, dtype=np.int64) % p
-    if a_forms.shape != (len(cols), ring.num_vars) or alpha.shape != (len(cols),):
-        raise RollingFactorsInputError(
-            f"need {len(cols)} linear forms and {len(cols)} scalars for frame {frame.k}"
-        )
-    rebuilt = ring.zero(2)
-    for j, (y, _) in enumerate(cols):
-        rebuilt = _add(ring, rebuilt, ring.multiply(ring.vector(1, a_forms[j]), ring.variable(y)))
-    if not np.array_equal(rebuilt.coeffs, q1.coeffs % p):
-        raise RollingFactorsInputError(
-            "q1 does not match sum_j A_j * Y_j for the given linear forms"
-        )
-    q2 = ring.zero(2)
-    for j, (_, w) in enumerate(cols):
-        q2 = _add(ring, q2, ring.multiply(ring.vector(1, a_forms[j]), ring.variable(w)))
-    h_top, h_bot = np.zeros((2, ring.num_vars), dtype=np.int64)
-    tops, bottoms = scroll_matrix(frame)
-    np.add.at(h_top, tops, alpha)
-    np.add.at(h_bot, bottoms, alpha)
-    delta = {}
-    for j in range(len(cols)):
-        for k in range(j + 1, len(cols)):
-            form = (alpha[k] * a_forms[j] - alpha[j] * a_forms[k]) % p
-            delta[(j, k)] = ring.vector(1, form)
-    return RollingWitness(
-        q1=ring.vector(2, q1.coeffs),
-        q2=q2,
-        h_top=ring.vector(1, h_top),
-        h_bot=ring.vector(1, h_bot),
-        delta=delta,
-    )
-
-
-def _add(ring: GradedRing, f: GradedVector, h: GradedVector) -> GradedVector:
-    return GradedVector(f.degree, (f.coeffs + h.coeffs) % ring.prime)
-
-
-def rolling_identity_residual(
-    frame: ScrollFrame, ring: GradedRing, witness: RollingWitness
-) -> GradedVector:
-    """h_bot*q1 - h_top*q2 - sum Delta_jk M_jk; zero iff the identity holds."""
-    cols = frame.columns()
-    lhs = ring.multiply(witness.h_bot, witness.q1)
-    lhs = GradedVector(3, (lhs.coeffs - ring.multiply(witness.h_top, witness.q2).coeffs) % ring.prime)
-    acc = lhs.coeffs.copy()
-    for (j, k), form in witness.delta.items():
-        prod = ring.multiply(form, GradedVector(2, _minor(ring, cols[j], cols[k])))
-        acc = (acc - prod.coeffs) % ring.prime
-    return GradedVector(3, acc)
-
-
-def rolling_syzygy(
-    frame: ScrollFrame, ring: GradedRing, witness: RollingWitness
-) -> np.ndarray:
-    """The witness as a (g, dim S^2) linear syzygy among ambient quadrics."""
-    cols = frame.columns()
-    p = ring.prime
-    gamma = (
-        np.outer(witness.h_bot.coeffs, witness.q1.coeffs)
-        - np.outer(witness.h_top.coeffs, witness.q2.coeffs)
-    ) % p
-    for (j, k), form in witness.delta.items():
-        minor = _minor(ring, cols[j], cols[k])
-        for v in np.nonzero(form.coeffs)[0]:
-            gamma[v] = (gamma[v] - int(form.coeffs[v]) * minor) % p
-    return gamma
-
-
-# -- syzygies inside the scroll coordinate ring -------------------------------
-
-
-def scroll_ring_syzygies(
-    frame: ScrollFrame, ring: GradedRing, sections: list[Section2H]
-) -> Subspace:
-    """Linear syzygies sum_{v,r} c_{v,r} Z_v * sec_r = 0 inside the scroll ring.
-
-    Sections must have twist 0.  The ambient of the result is g * len(sections)
-    with variable-major layout, matching the ambient-space syzygy convention.
-    """
-    _check_ring(frame, ring)
-    p = ring.prime
-    g = ring.num_vars
-    dims3 = [frame.k[a] + frame.k[b] + frame.k[c] + 1 for a, b, c in TRIPLES]
-    offsets = dict(zip(TRIPLES, np.cumsum([0] + dims3[:-1])))
-    total3 = sum(dims3)  # equals 10g - 20
-    n = len(sections)
-    mat = np.zeros((g * n, total3), dtype=np.int64)
-    for r, sec in enumerate(sections):
-        if sec.twist != 0:
-            raise TwistedSectionError("scroll-ring syzygies need twist-0 sections")
-        for v in range(g):
-            i, sa = frame.ruling_of(v)
-            for nblk, (j, l) in enumerate(PAIRS):
-                block = sec.blocks[nblk]
-                if len(block) == 0:
-                    continue
-                triple = tuple(sorted((i, j, l)))
-                off = offsets[triple] + sa
-                mat[v * n + r, off : off + len(block)] += block
-    mat %= p
-    return kernel_basis(mat.T, p)
-
-
-def embed_section_syzygies(
-    sub: Subspace, g: int, n_total: int, col_offset: int
-) -> Subspace:
-    """Re-index syzygies on a sub-list of sections into the full list."""
-    n_part = sub.ambient_dim // g
-    rows = np.zeros((sub.dim, g, n_total), dtype=np.int64)
-    rows[:, :, col_offset : col_offset + n_part] = sub.basis.reshape(sub.dim, g, n_part)
-    return Subspace.from_rows(rows.reshape(sub.dim, g * n_total), g * n_total, sub.prime)
-
-
 # -- the 4-gonal curve constructor -------------------------------------------
 
 
@@ -704,7 +489,9 @@ def fourgonal_curve(
 
     The quadric ideal piece is the scroll minors plus ambient lifts of the
     binary-form multiples of the two sections; its dimension C(g-2, 2) is
-    certified by rank, redrawing the sections on failure.
+    certified by rank, redrawing the sections on failure.  Twists whose
+    sections all have singular fibre conics are refused: the curve they cut
+    splits, so it is no canonical curve.
     """
     g = frame.genus
     p = check_prime(prime)
@@ -715,9 +502,15 @@ def fourgonal_curve(
             f"frame {frame.k} cannot host a curve: k3 > floor((g-1)/2) = {(g - 1) // 2}"
         )
     for twist in (a, b):
-        if section_dim(frame, twist) == 0:
+        # the generic fibre conic of a twist-lambda section is nonsingular iff
+        # a permutation pairs every ruling with one sharing a nonempty block
+        if not any(
+            all(block_length(frame, i, j, twist) for i, j in enumerate(perm))
+            for perm in itertools.permutations(range(3))
+        ):
             raise EmptyLinearSystemError(
-                f"frame {frame.k} has no sections of 2H - {twist}F"
+                f"frame {frame.k} has no sections of 2H - {twist}F with a "
+                f"nonsingular fibre conic; the curve would be reducible"
             )
     ring = GradedRing(g, p)
     minors = scroll_minors(frame, ring)

@@ -141,6 +141,8 @@ def test_unsupported_degrees_raise():
         koszul_dimension(ring, model.quadrics, 2, -1)
     with pytest.raises(UnsupportedDegreeError, match="-1"):
         betti_table(ring, model.quadrics, p_max=-1)
+    with pytest.raises(UnsupportedDegreeError, match="7"):
+        betti_table(ring, model.quadrics, p_max=7)  # columns past g = 6 are zero
 
 
 def test_size_budget_is_enforced():

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from oracles import oracle_projective_classes
+from scroll_helpers import rolling_syzygy, scroll_points, top_row_forms
 
 from syzlab.errors import (
     DegenerateScrollError,
+    EmptyLinearSystemError,
     ModelInconsistencyError,
-    RollingFactorsInputError,
-    TwistedSectionError,
 )
 from syzlab.harness import construct_model
 from syzlab.linalg import DEFAULT_PRIME, Subspace, kernel_basis
@@ -19,8 +19,8 @@ from syzlab.ring import GradedRing
 from syzlab.scroll import (
     PAIRS,
     ScrollFrame,
+    _conic_matrix,
     binary_monomial,
-    evaluate_section,
     fourgonal_curve,
     fourgonal_point_sample,
     fourgonal_sections,
@@ -28,15 +28,7 @@ from syzlab.scroll import (
     random_section,
     restrict_quadrics,
     restriction_image,
-    rolling_factors,
-    rolling_identity_residual,
-    rolling_syzygy,
-    row_decomposition,
-    scroll_matrix,
     scroll_minors,
-    scroll_points,
-    scroll_ring_syzygies,
-    embed_section_syzygies,
     scrollar_bidegrees,
     section_dim,
     section_from_coords,
@@ -139,7 +131,7 @@ def test_lift_of_twisted_section_is_refused():
     ring = GradedRing(9, P)
     rng = np.random.default_rng(34)
     sec = random_section(frame, 2, P, rng)
-    with pytest.raises(TwistedSectionError):
+    with pytest.raises(ValueError):
         lift_section(ring, sec)
 
 
@@ -180,48 +172,11 @@ def test_lift_evaluates_like_the_section_on_scroll_points():
              for v in range(g) for i, a in [frame.ruling_of(v)]],
             dtype=np.int64,
         )
-        assert int(ring.evaluate(quad, pt)[0]) == evaluate_section(sec, (s, t), x, P)
+        on_fibre = np.array(x) @ _conic_matrix(sec, (s, t), P) % P @ np.array(x) % P
+        assert int(ring.evaluate(quad, pt)[0]) == on_fibre
 
 
 # -- rolling factors ----------------------------------------------------------
-
-
-@pytest.mark.parametrize("k", [(1, 1, 1), (2, 2, 2), (2, 3, 3)])
-def test_rolling_identity_holds_on_random_instances(k):
-    frame = ScrollFrame(k)
-    g = frame.genus
-    ring = GradedRing(g, P)
-    rng = np.random.default_rng(sum(k))
-    cols = frame.columns()
-    for _ in range(25):
-        a_forms = rng.integers(0, P, size=(len(cols), g))
-        alpha = rng.integers(0, P, size=len(cols))
-        q1 = ring.zero(2)
-        for j, (y, _) in enumerate(cols):
-            prod = ring.multiply(ring.vector(1, a_forms[j]), ring.variable(y))
-            q1 = ring.vector(2, (q1.coeffs + prod.coeffs) % P)
-        wit = rolling_factors(frame, ring, q1, a_forms, alpha)
-        assert rolling_identity_residual(frame, ring, wit).is_zero()
-
-
-def test_rolling_respects_row_decomposition():
-    frame = ScrollFrame((2, 2, 2))
-    g = frame.genus
-    ring = GradedRing(g, P)
-    rng = np.random.default_rng(36)
-    sec = random_section(frame, 1, P, rng)
-    s_mult = twist_down(sec, binary_monomial(1, 1), P)  # s * sec: top row
-    quad = lift_section(ring, s_mult)
-    a_forms = row_decomposition(frame, ring, quad, "top")
-    alpha = rng.integers(0, P, size=g - 3)
-    wit = rolling_factors(frame, ring, quad, a_forms, alpha)
-    assert rolling_identity_residual(frame, ring, wit).is_zero()
-    t_mult = twist_down(sec, binary_monomial(0, 1), P)  # t * sec: bottom row
-    quad_b = lift_section(ring, t_mult)
-    row_decomposition(frame, ring, quad_b, "bottom")
-    with pytest.raises(RollingFactorsInputError):
-        # generic bottom-row quadrics have monomials with no top-row factor
-        row_decomposition(frame, ring, quad_b, "top")
 
 
 def test_rolling_syzygy_is_a_syzygy_involving_both_quadrics():
@@ -234,21 +189,20 @@ def test_rolling_syzygy_is_a_syzygy_involving_both_quadrics():
     model = fourgonal_curve(frame, 2, 2, seed=37)
     quadrics = model.quadrics
     sec = random_section(frame, 1, P, rng)
-    quad = lift_section(ring, twist_down(sec, binary_monomial(1, 1), P))
-    a_forms = row_decomposition(frame, ring, quad, "top")
+    quad = lift_section(ring, twist_down(sec, binary_monomial(1, 1), P)).coeffs
+    a_forms = top_row_forms(frame, ring, quad)  # s * sec lies in the top row
+    assert a_forms is not None
     alpha = rng.integers(0, P, size=g - 3)
-    wit = rolling_factors(frame, ring, quad, a_forms, alpha)
-    gamma_rows = rolling_syzygy(frame, ring, wit)
+    q1, q2, gamma_rows = rolling_syzygy(frame, ring, a_forms, alpha)
+    assert np.array_equal(q1, quad)
     full = scroll_minors(frame, ring).sum(
-        Subspace.from_rows(
-            np.vstack([wit.q1.coeffs, wit.q2.coeffs]), ring.dim(2), P
-        )
+        Subspace.from_rows(np.vstack([q1, q2]), ring.dim(2), P)
     )
     coords = syzygy_coordinates(full, gamma_rows)
     assert is_syzygy(ring, full, coords)
     span = quadrics_involved(ring, full, coords)
     assert span.dim >= 2
-    assert span.contains(wit.q1.coeffs) and span.contains(wit.q2.coeffs)
+    assert span.contains(q1) and span.contains(q2)
 
 
 # -- 4-gonal models -----------------------------------------------------------
@@ -296,13 +250,14 @@ def test_bidegree_recovery_matches_construction():
         (9, (2, 2, 2), 4, 0),
         (8, (1, 2, 2), 1, 2),
         (12, (3, 3, 3), 4, 3),
-        (11, (2, 3, 3), 6, 0),
     ]:
         frame = ScrollFrame(k)
         ring = GradedRing(g, P)
         model = fourgonal_curve(frame, a, b, seed=43)
         restricted = restriction_image(frame, ring, model.quadrics)
         assert scrollar_bidegrees(frame, restricted) == (max(a, b), min(a, b))
+    with pytest.raises(EmptyLinearSystemError):
+        fourgonal_curve(ScrollFrame((2, 3, 3)), 6, 0, seed=43)  # a reducible curve
 
 
 def test_bidegrees_of_divisible_span_bound_below():
@@ -324,28 +279,33 @@ def test_bidegrees_reject_wrong_dimension():
 
 def test_scroll_matrix_entries_parametrize_consistently():
     frame = ScrollFrame((1, 2, 3))
-    mat = scroll_matrix(frame)
-    assert mat.shape == (2, frame.genus - 3)
-    for col in range(mat.shape[1]):
-        top, bottom = int(mat[0, col]), int(mat[1, col])
+    cols = frame.columns()
+    assert len(cols) == frame.genus - 3
+    for top, bottom in cols:
         (ti, ta), (bi, ba) = frame.ruling_of(top), frame.ruling_of(bottom)
         assert ti == bi and ta == ba + 1  # same ruling, s-power drops by one
 
 
-def test_quotient_syzygies_split_by_side():
-    for g, a, b in [(8, 2, 1), (10, 3, 2)]:
-        frame = ScrollFrame.balanced(g)
-        ring = GradedRing(g, P)
-        model = fourgonal_curve(frame, a, b, seed=45)
-        q1, q2 = fourgonal_sections(model)
-        side1 = [twist_down(q1, binary_monomial(i, a), P) for i in range(a + 1)]
-        side2 = [twist_down(q2, binary_monomial(i, b), P) for i in range(b + 1)]
-        full = scroll_ring_syzygies(frame, ring, side1 + side2)
-        s1 = scroll_ring_syzygies(frame, ring, side1)
-        s2 = scroll_ring_syzygies(frame, ring, side2)
-        assert full.dim == (g - 5) * (g - 3)
-        assert (s1.dim, s2.dim) == (a * (g - 3), b * (g - 3))
-        e1 = embed_section_syzygies(s1, g, g - 3, 0)
-        e2 = embed_section_syzygies(s2, g, g - 3, a + 1)
-        assert e1.sum(e2) == full
-        assert e1.intersect(e2).dim == 0
+def _det3(m) -> int:
+    m = [[int(x) for x in row] for row in m]
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+@pytest.mark.parametrize("g", [10, 11, 12, 13])
+def test_extremal_models_past_genus_9_are_refused(g):
+    # every section of 2H - (g-5)F on the hosting frame has a singular
+    # fibre conic, so the curve it cuts splits
+    frame = ScrollFrame.hosting(g, g - 5)
+    with pytest.raises(EmptyLinearSystemError) as refused:
+        fourgonal_curve(frame, g - 5, 0, seed=46)
+    assert str(frame.k) in str(refused.value) and f"2H - {g - 5}F" in str(refused.value)
+    rng = np.random.default_rng(46 + g)
+    sec = random_section(frame, g - 5, P, rng)
+    for _ in range(20):
+        st = (int(rng.integers(0, P)), int(rng.integers(0, P)))
+        upper = _conic_matrix(sec, st, P)
+        assert _det3(upper + upper.T) % P == 0
