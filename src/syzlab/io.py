@@ -47,9 +47,12 @@ def _subspace_from_payload(
             f"quadrics live in dimension {payload['ambient_dim']}, the genus "
             f"needs C(g+1, 2) = {ambient_dim}"
         )
-    return Subspace.from_rows(
-        _int64_array(payload["rows"], "quadric rows"), ambient_dim, prime
-    )
+    rows = payload["rows"]
+    if not isinstance(rows, list) or any(
+        not isinstance(row, list) or len(row) != ambient_dim for row in rows
+    ):
+        raise ModelInconsistencyError(f"quadric rows must be lists of {ambient_dim} entries")
+    return Subspace.from_rows(_int64_array(rows, "quadric rows"), ambient_dim, prime)
 
 
 def _int64_array(values, what: str) -> np.ndarray:
@@ -125,6 +128,8 @@ def model_from_dict(data: dict) -> Union[CurveModel, SurfaceModel]:
     if pts is not None:
         pts = _witness_points(_int64_array(pts, "sample points"), quadrics, genus)
     params = data.get("params", {})
+    if not isinstance(params, dict):
+        raise ModelInconsistencyError(f"params must be a JSON object, got {type(params).__name__}")
     common = dict(
         genus=genus,
         prime=prime,

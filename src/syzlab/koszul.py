@@ -284,9 +284,10 @@ def betti_table(
     """Grid of kappa_{p,q} for q = 0..3 and p = 0..p_max.
 
     When expected_genus is given, the quotient-ring dimensions are first
-    checked against the canonical-curve values dim B_q = (2q-1)(g-1); a
-    mismatch means the quadrics do not cut a canonical curve and raises
-    ModelInconsistencyError.
+    checked against the canonical-curve values dim B_q = (2q-1)(g-1), and an
+    untruncated grid is then checked against Green duality and the Euler
+    characteristic of each diagonal; a mismatch means the quadrics do not
+    cut a canonical curve and raises ModelInconsistencyError.
     """
     g = ring.num_vars
     if p_max is None:
@@ -312,7 +313,42 @@ def betti_table(
                 entries[q_idx, p_idx] = complex_.kappa(p_idx, q_idx)
             except SizeLimitError:
                 truncated = True
+    if expected_genus is not None and not truncated:
+        _check_identities(entries, g)
     return BettiTable(genus=g, entries=entries, truncated=truncated)
+
+
+def _check_identities(entries: np.ndarray, g: int) -> None:
+    """Green duality kappa_{p,q} = kappa_{g-2-p,3-q} on every pair inside the
+    grid, and sum_p (-1)^p kappa_{p,k-p} = sum_p (-1)^p C(g,p) h(k-p) on every
+    diagonal k inside it, h the canonical Hilbert function."""
+    p_max = entries.shape[1] - 1
+
+    def kappa(p_idx: int, q_idx: int) -> Optional[int]:
+        if 0 <= p_idx <= p_max:
+            return int(entries[q_idx, p_idx])
+        # columns p >= g - 1 are dual to p < 0, hence zero
+        return 0 if p_idx >= g - 1 else None
+
+    for (q_idx, p_idx), value in np.ndenumerate(entries):
+        dual = kappa(g - 2 - p_idx, 3 - q_idx)
+        if dual is not None and dual != value:
+            raise ModelInconsistencyError(
+                f"kappa_{p_idx},{q_idx} = {value} but its dual "
+                f"kappa_{g - 2 - p_idx},{3 - q_idx} = {dual}"
+            )
+    h = [1, g] + [(2 * d - 1) * (g - 1) for d in range(2, g + 4)]
+    for k in range(g + 4):
+        cells = {p: kappa(p, k - p) for p in range(max(0, k - 3), min(k, g) + 1)}
+        if None in cells.values():
+            continue
+        lhs = sum((-1) ** p * c for p, c in cells.items())
+        rhs = sum((-1) ** p * comb(g, p) * h[k - p] for p in range(min(k, g) + 1))
+        if lhs != rhs:
+            raise ModelInconsistencyError(
+                f"Euler characteristic on diagonal {k}: the grid gives {lhs}, "
+                f"a canonical genus-{g} curve needs {rhs}"
+            )
 
 
 # -- theorem-level classification ---------------------------------------------

@@ -7,7 +7,9 @@ with p < 2**25 nothing ever exceeds 2**63 and int64 arithmetic is exact.
 
 Row reduction is deterministic: pivots are chosen in the leftmost nonzero
 column, ties broken by smallest row index, so identical input bytes give
-identical output bytes on every platform.
+identical output bytes on every platform.  ``rref`` and ``rank`` share one
+loop; each step updates only the columns from the pivot on, and ``rank``
+clears below pivots only.  The int64 bound above is unchanged.
 """
 
 from __future__ import annotations
@@ -79,6 +81,38 @@ def _as_matrix(mat, p: int) -> np.ndarray:
     return a % p
 
 
+def _echelon(mat, p: int, reduced: bool) -> tuple[int, np.ndarray, list[int]]:
+    """Rows r.. are zero left of column c, so each step touches columns c: only."""
+    a = _as_matrix(mat, p)  # `% p` made a fresh array: the input is never written
+    nrows, ncols = a.shape
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], c:] = a[[i, r], c:]
+        piv = int(a[r, c])
+        if piv != 1:
+            a[r, c:] = a[r, c:] * inverse_mod(piv, p) % p
+        rows = r + nz[1:]  # the nonzeros below the pivot, after the swap
+        if reduced:
+            rows = np.concatenate([np.flatnonzero(a[:r, c]), rows])
+        if rows.size:
+            # in-place rank-1 update of one gathered block; stays within int64
+            block = a[rows, c:]
+            block -= np.outer(block[:, 0], a[r, c:])
+            block %= p
+            a[rows, c:] = block
+        pivot_cols.append(c)
+        r += 1
+    return r, a, pivot_cols
+
+
 def rref(mat, p: int) -> tuple[int, np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p).
 
@@ -86,36 +120,11 @@ def rref(mat, p: int) -> tuple[int, np.ndarray, list[int]]:
     zeros above and below; rows below ``rank`` are zero.  Deterministic
     pivoting: leftmost column first, smallest row index on ties.
     """
-    a = _as_matrix(mat, p).copy()
-    nrows, ncols = a.shape
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        piv = int(a[r, c])
-        if piv != 1:
-            a[r] = a[r] * inverse_mod(piv, p) % p
-        col = a[:, c]
-        rows = np.nonzero(col)[0]
-        rows = rows[rows != r]
-        if rows.size:
-            # rank-1 update; entries stay within int64 (see module docstring)
-            a[rows] -= np.outer(col[rows], a[r])
-            a[rows] %= p
-        pivot_cols.append(c)
-        r += 1
-    return r, a, pivot_cols
+    return _echelon(mat, p, reduced=True)
 
 
 def rank(mat, p: int) -> int:
-    return rref(mat, p)[0]
+    return _echelon(mat, p, reduced=False)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,6 +271,5 @@ def solve(mat, rhs, p: int) -> np.ndarray | None:
     if ncols in piv:
         return None
     x = np.zeros(ncols, dtype=np.int64)
-    for r, c in enumerate(piv):
-        x[c] = red[r, ncols]
+    x[piv] = red[:rk, ncols]
     return x

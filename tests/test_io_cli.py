@@ -256,6 +256,14 @@ def _scalar_quadrics(data):
     data["quadrics"] = 5
 
 
+def _null_params(data):
+    data["params"] = None
+
+
+def _scalar_rows(data):
+    data["quadrics"] = {"ambient_dim": 21, "rows": 5}
+
+
 def _witness_off_the_curve(data):
     data["sample_points"][0][0] += 1
 
@@ -277,6 +285,8 @@ def _surface_not_in_curve_ideal(data):
         _null_prime,
         _null_seed,
         _scalar_quadrics,
+        _null_params,
+        _scalar_rows,
     ],
 )
 def test_malformed_model_files_exit_2(tmp_path, capsys, edit):

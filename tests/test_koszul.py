@@ -188,8 +188,9 @@ def test_betti_table_ranks_each_differential_once(monkeypatch):
         lambda: bielliptic_curve(6, seed=76),
         lambda: delpezzo_curve(6, seed=76),
         lambda: genus5_intersection(seed=76),
+        lambda: construct_model("fourgonal", genus=7, seed=76),
     ],
-    ids=["fourgonal", "bielliptic", "delpezzo", "genus5"],
+    ids=["fourgonal", "bielliptic", "delpezzo", "genus5", "fourgonal-g7"],
 )
 def test_complete_grids_satisfy_duality_and_euler_characteristic(build):
     model = build()
@@ -211,6 +212,28 @@ def test_complete_grids_satisfy_duality_and_euler_characteristic(build):
         lhs = sum((-1) ** p * kappa(p, k - p) for p in range(max(0, k - 3), min(k, g) + 1))
         rhs = sum((-1) ** p * comb(g, p) * h(k - p) for p in range(min(k, g) + 1))
         assert lhs == rhs, k
+
+
+def test_betti_table_checks_duality_and_euler_characteristic(monkeypatch):
+    model = _genus6_model()
+    ring = GradedRing(6, P)
+    # a dual pair both one too large keeps duality and breaks their diagonals
+    entries = betti_table(ring, model.quadrics, expected_genus=6).entries.copy()
+    entries[1, 1] += 1
+    entries[2, 3] += 1
+    with pytest.raises(ModelInconsistencyError, match="diagonal 2:"):
+        koszul._check_identities(entries, 6)
+
+    # one rank too small on d_{2,1}: wedge^2 V (x) B_1 -> V (x) B_2 raises
+    # kappa_{2,1} and kappa_{1,2} by one; the diagonal sums cancel, duality breaks
+    def rank_one_short(mat, p):
+        return linalg.rank(mat, p) - (mat.shape == (15 * 6, 6 * 15))
+
+    monkeypatch.setattr(koszul, "rank", rank_one_short)
+    with pytest.raises(ModelInconsistencyError, match=r"kappa_2,1 = .* dual kappa_2,2"):
+        betti_table(ring, model.quadrics, expected_genus=6)
+    # without a genus to check against, the grid comes back as computed
+    assert betti_table(ring, model.quadrics).value(2, 1) == kappa21_expected(6) + 1
 
 
 def test_betti_table_rejects_wrong_hilbert_function():

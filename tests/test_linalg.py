@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from syzlab.linalg import (
     rref,
     solve,
 )
-from oracles import oracle_kernel_dim, oracle_rank, oracle_rref
+from oracles import oracle_kernel_dim, oracle_rref
 
 P = 10007
 
@@ -44,24 +46,81 @@ def test_inverse_mod_agrees_with_fermat():
         inverse_mod(0, P)
 
 
-def test_rref_matches_oracle_on_random_matrices():
-    rng = np.random.default_rng(1)
-    for trial in range(40):
+ORACLE_PRIMES = [3, 7, 1000003, 33554393]
+
+
+def _rows(mat):
+    return [list(map(int, row)) for row in mat]
+
+
+def _assert_matches_oracle(mat, p):
+    """rref and rank agree with the oracle and leave their input as it was."""
+    before = mat.copy()
+    r, red, piv = rref(mat, p)
+    orank, ored, opiv = oracle_rref(_rows(np.atleast_2d(mat)), p)
+    assert r == orank == rank(mat, p)
+    assert piv == opiv
+    assert _rows(red[:r]) == ored and not red[r:].any()
+    assert np.array_equal(mat, before)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_rref_matches_oracle_on_random_matrices(p):
+    rng = np.random.default_rng(p)
+    for _ in range(20):
         n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        mat = rng.integers(0, P, size=(n, m))
-        r, red, piv = rref(mat, P)
-        orank, ored, opiv = oracle_rref([list(map(int, row)) for row in mat], P)
-        assert r == orank
-        assert piv == opiv
-        assert [list(map(int, row)) for row in red[:r]] == ored
+        _assert_matches_oracle(rng.integers(0, p, size=(n, m)), p)
+    for _ in range(6):
+        # sparse, 1-5% nonzero: many empty columns and few rows per update
+        n, m = int(rng.integers(20, 41)), int(rng.integers(30, 61))
+        mask = rng.random((n, m)) < rng.uniform(0.01, 0.05)
+        _assert_matches_oracle(rng.integers(1, p, size=(n, m)) * mask, p)
+    # 1-D input is one row
+    _assert_matches_oracle(rng.integers(0, p, size=9), p)
 
 
-def test_rref_low_rank_structured():
-    rng = np.random.default_rng(2)
-    left = rng.integers(0, P, size=(6, 3))
-    right = rng.integers(0, P, size=(3, 8))
-    mat = left @ right % P
-    assert rank(mat, P) == oracle_rank([list(map(int, r)) for r in mat], P) <= 3
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_rref_low_rank_structured(p):
+    rng = np.random.default_rng(p + 2)
+    for n, k, m in [(6, 3, 8), (40, 12, 60), (35, 20, 25), (40, 0, 60)]:
+        mat = rng.integers(0, p, size=(n, k)) @ rng.integers(0, p, size=(k, m)) % p
+        _assert_matches_oracle(mat, p)
+        assert rank(mat, p) <= k
+        # a sparse rank-deficient shape: zero rows, repeated rows, zero columns
+        sparse = mat * (rng.random((n, m)) < 0.05)
+        sparse[::3] = 0
+        sparse[1::3] = sparse[2]
+        sparse[:, ::4] = 0
+        _assert_matches_oracle(sparse, p)
+
+
+def test_rank_and_rref_peak_memory():
+    """tracemalloc peak of rank and rref relative to the input's bytes.
+
+    Measured at p = 1000003 on 400x500 matrices with 3% nonzeros.  A random
+    one fills in, so the first, widest updates set the peak: updating whole
+    rows peaks at 3.09x, updating the trailing columns only at 2.15x (rank)
+    and 2.51x (rref), hence the bound 2.75.  A banded one stays sparse, so
+    the working matrix sets the peak: 1.01x (rank) and 1.60x (rref), against
+    2.0x when the input is copied once more after the reduction mod p,
+    hence the bound 1.8.  (The real 1050x1470 g = 7 differential peaks at
+    2.00x with full rows and a second copy, 1.20x and 1.38x without.)
+    """
+    rng = np.random.default_rng(41)
+    p, n, m = 1000003, 400, 500
+    scattered = rng.integers(1, p, size=(n, m)) * (rng.random((n, m)) < 0.03)
+    banded = np.zeros((n, m), dtype=np.int64)
+    band = (np.arange(n) * (m - 15) // n)[:, None] + np.arange(15)
+    banded[np.arange(n)[:, None], band] = rng.integers(1, p, size=band.shape)
+    for mat, bound in ((scattered, 2.75), (banded, 1.8)):
+        for fn in (rank, rref):
+            tracemalloc.start()
+            try:
+                fn(mat, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / mat.nbytes < bound, (fn.__name__, peak / mat.nbytes)
 
 
 def test_rref_is_idempotent():
