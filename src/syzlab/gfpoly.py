@@ -2,7 +2,10 @@
 
 Polynomials are plain Python lists of canonical residues in ascending
 degree order with no trailing zeros.  Degrees stay tiny (<= 6 in every
-caller), so clarity beats asymptotics here.
+caller).  Root finding's one costly step, base^e modulo f with e ~ p, is
+a power of the d x d matrix of multiplication by base (d = deg f), taken
+by square-and-multiply on int64 arrays with % p after each product; this
+is exact because d * p^2 < 2^63 for every p < linalg.PRIME_BOUND = 2^25.
 
 Witness points of every model come from one recipe: parametrise a rational
 curve x(u) on the surface, restrict the extra quadric Q to it and keep the
@@ -62,17 +65,6 @@ def trim(f: list[int]) -> list[int]:
     return f
 
 
-def pmul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return trim(out)
-
-
 def pdivmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
     f, g = trim(list(f)), trim(list(g))
     if not g:
@@ -102,15 +94,28 @@ def pgcd(f: list[int], g: list[int], p: int) -> list[int]:
 
 
 def ppow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """base**e modulo the polynomial ``mod``."""
-    result = [1]
-    acc = pdivmod(base, mod, p)[1]
+    """base**e modulo the polynomial ``mod`` of degree d >= 1.
+
+    M = base(C), C the companion matrix of ``mod``, multiplies residues
+    (coefficients of 1, X, .., X^(d-1)) by base; the answer is M^e applied
+    to the residue 1.  Each product sums d terms below p^2: d * p^2 < 2^63.
+    """
+    mod = trim([c % p for c in mod])
+    d = len(mod) - 1
+    eye = np.eye(d, dtype=np.int64)
+    companion = np.eye(d, k=-1, dtype=np.int64)
+    inv = inverse_mod(mod[-1], p)
+    companion[:, -1] = [(-c) * inv % p for c in mod[:-1]]
+    acc = 0 * eye
+    for c in reversed(trim([c % p for c in base])):
+        acc = (acc @ companion + c * eye) % p
+    vec = eye[0]
     while e:
         if e & 1:
-            result = pdivmod(pmul(result, acc, p), mod, p)[1]
-        acc = pdivmod(pmul(acc, acc, p), mod, p)[1]
+            vec = acc @ vec % p
+        acc = acc @ acc % p
         e >>= 1
-    return result
+    return trim(vec.tolist())
 
 
 def roots(f, p: int, rng: np.random.Generator) -> list[int]:

@@ -47,15 +47,27 @@ def _subspace_from_payload(
             f"quadrics live in dimension {payload['ambient_dim']}, the genus "
             f"needs C(g+1, 2) = {ambient_dim}"
         )
-    rows = payload["rows"]
-    if not isinstance(rows, list) or any(
-        not isinstance(row, list) or len(row) != ambient_dim for row in rows
-    ):
-        raise ModelInconsistencyError(f"quadric rows must be lists of {ambient_dim} entries")
-    return Subspace.from_rows(_int64_array(rows, "quadric rows"), ambient_dim, prime)
+    rows = _int64_array(payload["rows"], "quadric rows", ambient_dim)
+    return Subspace.from_rows(rows, ambient_dim, prime)
 
 
-def _int64_array(values, what: str) -> np.ndarray:
+def _int_tree(value, shape: tuple) -> bool:
+    """Is value nested lists of JSON integers (bool excluded) of the given
+    shape, None standing for any length?"""
+    if not shape:
+        return type(value) is int
+    return (
+        isinstance(value, list)
+        and shape[0] in (None, len(value))
+        and all(_int_tree(v, shape[1:]) for v in value)
+    )
+
+
+def _int64_array(values, what: str, width: int) -> np.ndarray:
+    """A list of rows of width JSON integers as an int64 array; nothing
+    else is accepted."""
+    if not _int_tree(values, (None, width)):
+        raise ModelInconsistencyError(f"{what} must be lists of {width} integers")
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -94,12 +106,15 @@ def model_to_dict(model: Union[CurveModel, SurfaceModel]) -> dict:
     return base
 
 
-# params that every model file of the family carries (its constructor stores them)
+# params that every model file of the family carries (its constructor stores
+# them), each with its _int_tree shape
 _FAMILY_PARAMS = {
-    FOURGONAL: ("frame", "a", "b", "q1_blocks", "q2_blocks"),
-    BIELLIPTIC: ("a4", "a6"),
-    DELPEZZO: ("base_points",),
-    VERONESE: ("base_points",),
+    FOURGONAL: {
+        "frame": (3,), "a": (), "b": (), "q1_blocks": (None, None), "q2_blocks": (None, None)
+    },
+    BIELLIPTIC: {"a4": (), "a6": ()},
+    DELPEZZO: {"base_points": (None, 3)},
+    VERONESE: {"base_points": (None, 3)},
 }
 
 
@@ -126,7 +141,7 @@ def model_from_dict(data: dict) -> Union[CurveModel, SurfaceModel]:
         raise ModelInconsistencyError("model file has no quadric space")
     pts = data.get("sample_points")
     if pts is not None:
-        pts = _witness_points(_int64_array(pts, "sample points"), quadrics, genus)
+        pts = _witness_points(_int64_array(pts, "sample points", genus), quadrics, genus)
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ModelInconsistencyError(f"params must be a JSON object, got {type(params).__name__}")
@@ -141,7 +156,11 @@ def model_from_dict(data: dict) -> Union[CurveModel, SurfaceModel]:
     if data["type"] == "surface":
         return SurfaceModel(kind=data["kind"], **common)
     family = data["family"]
-    _require(params, _FAMILY_PARAMS.get(family, ()), f"{family} model params")
+    shapes = _FAMILY_PARAMS.get(family, {})
+    _require(params, shapes, f"{family} model params")
+    bad = [key for key, shape in shapes.items() if not _int_tree(params[key], shape)]
+    if bad:
+        raise ModelInconsistencyError(f"{family} model params {', '.join(bad)} are malformed")
     if quadrics.dim != comb(genus - 2, 2):
         raise ModelInconsistencyError(
             f"curve quadrics span dimension {quadrics.dim}, a canonical "

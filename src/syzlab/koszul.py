@@ -131,7 +131,9 @@ def syz2_span(
 
     Running over a kernel basis suffices: quadrics_involved is linear in
     the syzygy slot-by-slot, so any combination's quadrics already lie in
-    the span contributed by the basis elements.
+    the span contributed by the basis elements.  The span is reduced in
+    the coordinates of the basis of I_2 (m columns, not dim S^2), and only
+    its at most m rows are mapped back; a full-rank span is I_2 itself.
     """
     ker = syzygy_kernel(ring, quadrics)
     g, m = ring.num_vars, quadrics.dim
@@ -139,8 +141,12 @@ def syz2_span(
         span = Subspace.zero(quadrics.ambient_dim, ring.prime)
         verdict = VERDICT_WHOLE
     else:
-        stacked = ker.basis.reshape(ker.dim * g, m) @ quadrics.basis % ring.prime
-        span = Subspace.from_rows(stacked, quadrics.ambient_dim, ring.prime)
+        coords = Subspace.from_rows(ker.basis.reshape(ker.dim * g, m), m, ring.prime)
+        if coords.dim == m:
+            span = quadrics
+        else:
+            rows = coords.basis @ quadrics.basis % ring.prime
+            span = Subspace.from_rows(rows, quadrics.ambient_dim, ring.prime)
         verdict = VERDICT_CURVE if span == quadrics else VERDICT_SURFACE
     match = None
     if surface is not None:

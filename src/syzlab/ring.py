@@ -10,10 +10,13 @@ is sorted by reversed exponent tuple.  For g = 3, degree 2 this gives
 
 All product bookkeeping goes through cached index tables, so repeated
 multiplications are fancy-indexed numpy scatters rather than dict walks.
+The tables depend on the number of variables alone, not on p: they are
+built once per (g, degree) and shared, read-only, by every GradedRing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -22,6 +25,33 @@ import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedDegreeError
 from .linalg import DEFAULT_PRIME, Subspace, check_prime
+
+
+@functools.cache
+def _monomials(g: int, degree: int) -> tuple[np.ndarray, dict[tuple[int, ...], int]]:
+    """Read-only (dim, g) exponent array in the fixed order, and its index."""
+    exps = []
+    for combo in itertools.combinations_with_replacement(range(g), degree):
+        e = [0] * g
+        for v in combo:
+            e[v] += 1
+        exps.append(tuple(e))
+    exps.sort(key=lambda e: e[::-1])
+    arr = np.array(exps, dtype=np.int64).reshape(len(exps), g)
+    arr.setflags(write=False)
+    return arr, {e: i for i, e in enumerate(exps)}
+
+
+@functools.cache
+def _product_table(g: int, d1: int, d2: int) -> np.ndarray:
+    idx = _monomials(g, d1 + d2)[1]
+    e1, e2 = _monomials(g, d1)[0], _monomials(g, d2)[0]
+    table = np.empty((len(e1), len(e2)), dtype=np.int64)
+    for i, a in enumerate(e1):
+        for j, b in enumerate(e2):
+            table[i, j] = idx[tuple(int(x) for x in a + b)]
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -43,9 +73,6 @@ class GradedRing:
             raise ValueError(f"need at least one variable, got {num_vars}")
         self.num_vars = int(num_vars)
         self.prime = check_prime(prime)
-        self._exponents: dict[int, np.ndarray] = {}
-        self._index: dict[int, dict[tuple[int, ...], int]] = {}
-        self._tables: dict[tuple[int, int], np.ndarray] = {}
 
     # -- monomial bookkeeping -------------------------------------------------
 
@@ -57,26 +84,11 @@ class GradedRing:
 
     def exponents(self, degree: int) -> np.ndarray:
         """(dim, g) array of exponent vectors in the fixed order."""
-        if degree not in self._exponents:
-            g = self.num_vars
-            exps = []
-            for combo in itertools.combinations_with_replacement(range(g), degree):
-                e = [0] * g
-                for v in combo:
-                    e[v] += 1
-                exps.append(tuple(e))
-            exps.sort(key=lambda e: e[::-1])
-            arr = np.array(exps, dtype=np.int64).reshape(len(exps), g)
-            arr.setflags(write=False)
-            self._exponents[degree] = arr
-            self._index[degree] = {e: i for i, e in enumerate(exps)}
-        return self._exponents[degree]
+        return _monomials(self.num_vars, degree)[0]
 
     def index_of(self, exponent) -> int:
         e = tuple(int(x) for x in exponent)
-        d = sum(e)
-        self.exponents(d)
-        return self._index[d][e]
+        return _monomials(self.num_vars, sum(e))[1][e]
 
     def monomial(self, exponent) -> GradedVector:
         e = tuple(int(x) for x in exponent)
@@ -105,19 +117,7 @@ class GradedRing:
 
     def product_table(self, d1: int, d2: int) -> np.ndarray:
         """table[i, j] = index of (monomial_i(d1) * monomial_j(d2)) in degree d1+d2."""
-        key = (d1, d2)
-        if key not in self._tables:
-            e1 = self.exponents(d1)
-            e2 = self.exponents(d2)
-            self.exponents(d1 + d2)
-            idx = self._index[d1 + d2]
-            table = np.empty((len(e1), len(e2)), dtype=np.int64)
-            for i, a in enumerate(e1):
-                for j, b in enumerate(e2):
-                    table[i, j] = idx[tuple(int(x) for x in a + b)]
-            table.setflags(write=False)
-            self._tables[key] = table
-        return self._tables[key]
+        return _product_table(self.num_vars, d1, d2)
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -76,3 +76,58 @@ def oracle_projective_classes(points, p: int) -> set[tuple[int, ...]]:
             inv = pow(lead, p - 2, p)
             classes.add(tuple(x * inv % p for x in row))
     return classes
+
+
+def oracle_pmul(f: list[int], g: list[int], p: int) -> list[int]:
+    """Product of two ascending coefficient lists, trailing zeros trimmed."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] = (out[i + j] + a * b) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def oracle_pmod(f: list[int], g: list[int], p: int) -> list[int]:
+    """Remainder of f modulo g (g with a nonzero leading coefficient)."""
+    r = [c % p for c in f]
+    inv = pow(g[-1], p - 2, p)
+    while True:
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(g):
+            return r
+        c, shift = r[-1] * inv % p, len(r) - len(g)
+        for i, b in enumerate(g):
+            r[i + shift] = (r[i + shift] - c * b) % p
+
+
+def oracle_ppow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """base**e modulo mod by square-and-multiply on coefficient lists."""
+    result = [1]
+    acc = oracle_pmod(base, mod, p)
+    while e:
+        if e & 1:
+            result = oracle_pmod(oracle_pmul(result, acc, p), mod, p)
+        acc = oracle_pmod(oracle_pmul(acc, acc, p), mod, p)
+        e >>= 1
+    return result
+
+
+def oracle_syzygy_span(kernel_rows, quadric_rows, p: int) -> list[list[int]]:
+    """Reduced rows of the span W by the stacked route: every slot of every
+    kernel syzygy (g * m coordinates, variable-major) is mapped through the
+    m quadric rows into S^2 and the whole stack is eliminated."""
+    m, n = len(quadric_rows), len(quadric_rows[0])
+    stacked = []
+    for syz in kernel_rows:
+        for v in range(0, len(syz), m):
+            slot = syz[v : v + m]
+            stacked.append(
+                [sum(c * q[k] for c, q in zip(slot, quadric_rows)) % p for k in range(n)]
+            )
+    return oracle_rref(stacked, p)[1]

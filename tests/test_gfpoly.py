@@ -12,10 +12,11 @@ from syzlab.gfpoly import (
     legendre,
     pdivmod,
     pgcd,
-    pmul,
+    ppow_mod,
     roots,
     sqrt_mod,
 )
+from oracles import oracle_pmul, oracle_ppow_mod
 
 P = 1000003
 
@@ -48,7 +49,7 @@ def test_pmul_pdivmod_consistency():
         if g[-1] == 0:
             g[-1] = 1
         q, r = pdivmod(f, g, P)
-        back = [x % P for x in np.polynomial.polynomial.polyadd(pmul(q, g, P), r) % P]
+        back = [x % P for x in np.polynomial.polynomial.polyadd(oracle_pmul(q, g, P), r) % P]
         want = f[:]
         while want and want[-1] == 0:
             want.pop()
@@ -64,7 +65,7 @@ def test_roots_recovers_linear_factors():
         rts = sorted({int(r) for r in rng.integers(0, P, size=4)})
         poly = [1]
         for r in rts:
-            poly = pmul(poly, [(-r) % P, 1], P)
+            poly = oracle_pmul(poly, [(-r) % P, 1], P)
         got = sorted(roots(poly, P, rng))
         assert got == rts
 
@@ -74,7 +75,7 @@ def test_roots_with_multiplicity_and_irreducible_part():
     # (x - 5)^2 * (x^2 + 1); p = 3 mod 4 makes x^2 + 1 irreducible
     p = 1000003
     assert p % 4 == 3
-    poly = pmul(pmul([(-5) % p, 1], [(-5) % p, 1], p), [1, 0, 1], p)
+    poly = oracle_pmul(oracle_pmul([(-5) % p, 1], [(-5) % p, 1], p), [1, 0, 1], p)
     assert roots(poly, p, rng) == [5]
     assert roots([1, 0, 1], p, rng) == []
 
@@ -82,8 +83,8 @@ def test_roots_with_multiplicity_and_irreducible_part():
 def test_gcd_of_shared_factor():
     rng = np.random.default_rng(25)
     shared = [(-7) % P, 1]
-    f = pmul(shared, [3, 1], P)
-    g = pmul(shared, [11, 0, 1], P)
+    f = oracle_pmul(shared, [3, 1], P)
+    g = oracle_pmul(shared, [11, 0, 1], P)
     assert pgcd(f, g, P) == shared  # pgcd returns the monic gcd
 
 
@@ -94,7 +95,7 @@ def _value(f, u, p):
 @pytest.mark.parametrize("p", [3, 5, 7, 101])
 def test_roots_match_a_brute_force_scan(p):
     rng = np.random.default_rng(26 + p)
-    polys = [[(-5) % p, 1], pmul([(-5) % p, 1], [(-5) % p, 1], p), [0, 0, 1]]
+    polys = [[(-5) % p, 1], oracle_pmul([(-5) % p, 1], [(-5) % p, 1], p), [0, 0, 1]]
     for degree in range(7):
         for _ in range(25):
             f = [int(c) for c in rng.integers(0, p, size=degree + 1)]
@@ -108,7 +109,32 @@ def test_roots_match_a_brute_force_scan(p):
 def test_lone_double_root_is_reported_once():
     rng = np.random.default_rng(27)
     for p in (7, 101):
-        assert roots(pmul([(-5) % p, 1], [(-5) % p, 1], p), p, rng) == [5 % p]
+        assert roots(oracle_pmul([(-5) % p, 1], [(-5) % p, 1], p), p, rng) == [5 % p]
+
+
+@pytest.mark.parametrize("p", [3, 7, 101, 1000003, 33554393])
+def test_ppow_mod_matches_list_square_and_multiply(p):
+    rng = np.random.default_rng(30)
+    for d in range(1, 7):
+        for monic in (True, False):
+            mod = [int(c) for c in rng.integers(0, p, size=d + 1)]
+            mod[-1] = 1 if monic else int(rng.integers(2, p))
+            for base_degree in range(3):
+                base = [int(c) for c in rng.integers(0, p, size=base_degree + 1)]
+                for e in (0, 1, 2, p, (p - 1) // 2):
+                    assert ppow_mod(base, e, mod, p) == oracle_ppow_mod(base, e, mod, p)
+
+
+def test_roots_at_the_largest_prime():
+    p = 33554393
+    rng = np.random.default_rng(31)
+    non_residue = next(x for x in range(2, p) if legendre(x, p) == p - 1)
+    for count in range(1, 6):
+        rts = sorted({int(r) for r in rng.integers(0, p, size=count)})
+        poly = [p - non_residue, 0, 1]  # X^2 - n has no root mod p
+        for r in rts:
+            poly = oracle_pmul(poly, [(-r) % p, 1], p)
+        assert roots(poly, p, rng) == rts
 
 
 @pytest.mark.parametrize("p", [7, 101, 1000003])

@@ -73,6 +73,26 @@ def test_digest_distinguishes_models():
     assert len(model_digest(a)) == 64
 
 
+# Witness points come from roots(), whose splitting draws from the model's
+# rng; a change to that stream changes these bytes.
+PINNED_DIGESTS = {
+    ("genus5", None, 7): "ee4be464eed684c4ad9933db5f05a56b8aba4403ca9301f033395dfb76bfb176",
+    ("genus5", None, P): "fac0f6fe1bd6118821ad682dee95eaedeae18dfe231432a092dcd957ce08b3be",
+    ("fourgonal", 8, 7): "89c5f1590079a1c94c0d9a02f1061fe0f928b577abd01f928e5056d3f47011bf",
+    ("fourgonal", 8, P): "a7678a8f8a5f21012a9971d34e1c47567baa12b0b6116849d1fa4bf3ff83db98",
+    ("bielliptic", 8, 7): "c338dae9517e057c10814a053db4b1508aea156968609b50bfc793bd1cc5407f",
+    ("bielliptic", 8, P): "7f77c661dcf2b2c71cb1aa006deb4471c0bc8365b9e7872d6739037ce38d1bb5",
+    ("delpezzo", 8, 7): "c155b3ddf1fc6337ad4741bb750ae6d7eeed198b4ce953cfda45c604e065d62c",
+    ("delpezzo", 8, P): "f420043a4d654c7a74524c98bd2ebfef676b5256fec12e65e955b76173ab983c",
+}
+
+
+@pytest.mark.parametrize("family,genus,prime", sorted(PINNED_DIGESTS, key=str))
+def test_model_bytes_are_pinned(family, genus, prime):
+    model = construct_model(family, genus=genus, prime=prime, seed=0)
+    assert model_digest(model) == PINNED_DIGESTS[family, genus, prime]
+
+
 def test_analysis_reports_are_deterministic_up_to_timings():
     model = construct_model("fourgonal", genus=8, seed=85)
     r1 = strip_timings(analyze_model(model))
@@ -272,6 +292,58 @@ def _surface_not_in_curve_ideal(data):
     data["surface_quadrics"]["rows"][0] = data["quadrics"]["rows"][0][::-1]
 
 
+def _null_coefficient(data):
+    data["quadrics"]["rows"][0][0] = None
+
+
+def _fractional_coefficient(data):
+    data["quadrics"]["rows"][0][-1] += 0.5
+
+
+def _boolean_surface_coefficient(data):
+    row = data["surface_quadrics"]["rows"][0]
+    row[row.index(1)] = True  # the pivot: the same value as an int
+
+
+def _fractional_witness(data):
+    data["sample_points"][0][0] += 0.5
+
+
+def _short_witness_row(data):
+    data["sample_points"][0] = data["sample_points"][0][:3]
+
+
+def _short_base_point(data):
+    data["params"]["base_points"][0] = data["params"]["base_points"][0][:2]
+
+
+def _swap_in(data, model, key, value):
+    """Replace data by the file of another model, with params[key] = value."""
+    data.clear()
+    data.update(model_to_dict(model))
+    data["params"][key] = value
+
+
+def _null_fourgonal_twist(data):
+    _swap_in(data, construct_model("fourgonal", genus=7, seed=94), "a", None)
+
+
+def _listed_fourgonal_twist(data):
+    _swap_in(data, construct_model("fourgonal", genus=7, seed=94), "a", [1])
+
+
+def _short_fourgonal_frame(data):
+    _swap_in(data, construct_model("fourgonal", genus=7, seed=94), "frame", [2, 2])
+
+
+def _flat_fourgonal_blocks(data):
+    _swap_in(data, construct_model("fourgonal", genus=7, seed=94), "q2_blocks", [1, 2])
+
+
+def _fractional_bielliptic_coefficient(data):
+    _swap_in(data, bielliptic_curve(6, seed=95), "a6", 1.5)
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -287,6 +359,17 @@ def _surface_not_in_curve_ideal(data):
         _scalar_quadrics,
         _null_params,
         _scalar_rows,
+        _null_coefficient,
+        _fractional_coefficient,
+        _boolean_surface_coefficient,
+        _fractional_witness,
+        _short_witness_row,
+        _short_base_point,
+        _null_fourgonal_twist,
+        _listed_fourgonal_twist,
+        _short_fourgonal_frame,
+        _flat_fourgonal_blocks,
+        _fractional_bielliptic_coefficient,
     ],
 )
 def test_malformed_model_files_exit_2(tmp_path, capsys, edit):

@@ -33,6 +33,7 @@ from syzlab.linalg import DEFAULT_PRIME, Subspace
 from syzlab.ring import GradedRing
 from syzlab.scroll import ScrollFrame, fourgonal_curve
 from syzlab.surfaces import bielliptic_curve, delpezzo_curve, genus5_intersection
+from oracles import oracle_syzygy_span
 
 P = DEFAULT_PRIME
 
@@ -130,6 +131,16 @@ def test_verdicts_per_family():
     rep = syz2_span(GradedRing(5, P), g5.quadrics)
     assert rep.verdict == VERDICT_WHOLE
     assert rep.kappa21 == 0
+
+
+@pytest.mark.parametrize("family", ["fourgonal", "bielliptic", "delpezzo"])
+def test_span_matches_the_stacked_route(family):
+    for genus in range(6, 10):
+        model = construct_model(family, genus=genus, seed=genus)
+        ring = GradedRing(genus, P)
+        kernel = syzygy_kernel(ring, model.quadrics)
+        want = oracle_syzygy_span(kernel.basis.tolist(), model.quadrics.basis.tolist(), P)
+        assert syz2_span(ring, model.quadrics).span.basis.tolist() == want
 
 
 def test_unsupported_degrees_raise():

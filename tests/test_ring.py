@@ -79,6 +79,14 @@ def test_product_table_agrees_with_index_of():
             assert int(table[v, j]) == ring.index_of(target)
 
 
+def test_tables_are_shared_across_primes_and_read_only():
+    a, b = GradedRing(5, 7), GradedRing(5, P)
+    assert a.product_table(1, 2) is b.product_table(1, 2)
+    assert a.exponents(3) is b.exponents(3)
+    with pytest.raises(ValueError):
+        a.product_table(1, 2)[0, 0] = 0
+
+
 def test_multiplication_matrix_encodes_syzygies():
     # c . mat = 0 exactly when sum_v Z_v q_v = 0 for the encoded rows
     rng = np.random.default_rng(12)
