@@ -28,7 +28,6 @@ from .io import (
     export_ideal_text,
     load_model,
     model_digest,
-    parse_ideal_text,
     save_model,
 )
 from .koszul import (
@@ -38,15 +37,12 @@ from .koszul import (
     betti_table,
     classify_theorem,
     is_syzygy,
-    kappa21_expected,
-    koszul_dimension,
     linear_syzygies,
     quadrics_involved,
     syz2_span,
-    syzygy_coordinates,
 )
 from .linalg import DEFAULT_PRIME, Subspace, kernel_basis, rank, rref
-from .models import CurveModel, SurfaceModel
+from .models import CurveModel
 from .ring import GradedRing, GradedVector
 from .scroll import (
     ScrollFrame,
@@ -59,8 +55,6 @@ from .surfaces import (
     WeierstrassCurve,
     bielliptic_curve,
     delpezzo_curve,
-    delpezzo_surface,
-    elliptic_cone,
     elliptic_normal_ideal,
     genus5_intersection,
 )
@@ -84,7 +78,6 @@ __all__ = [
     "Section2H",
     "SizeLimitError",
     "Subspace",
-    "SurfaceModel",
     "Syz2Report",
     "SyzlabError",
     "UnsupportedDegreeError",
@@ -95,20 +88,15 @@ __all__ = [
     "classify_theorem",
     "construct_model",
     "delpezzo_curve",
-    "delpezzo_surface",
-    "elliptic_cone",
     "elliptic_normal_ideal",
     "export_ideal_text",
     "fourgonal_curve",
     "genus5_intersection",
     "is_syzygy",
-    "kappa21_expected",
     "kernel_basis",
-    "koszul_dimension",
     "linear_syzygies",
     "load_model",
     "model_digest",
-    "parse_ideal_text",
     "quadrics_involved",
     "rank",
     "recovered_bidegrees",
@@ -118,6 +106,5 @@ __all__ = [
     "scroll_minors",
     "scrollar_bidegrees",
     "syz2_span",
-    "syzygy_coordinates",
     "theorem_sweep",
 ]

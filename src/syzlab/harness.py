@@ -13,13 +13,7 @@ from typing import Optional, Union
 
 from .errors import ModelInconsistencyError
 from .io import model_digest
-from .koszul import (
-    BettiTable,
-    ClassificationRecord,
-    betti_table,
-    classify_theorem,
-    syz2_span,
-)
+from .koszul import BettiTable, betti_table, classify_theorem
 from .linalg import DEFAULT_PRIME, check_prime
 from .models import (
     BIELLIPTIC,
@@ -104,8 +98,6 @@ def analyze_model(
     bidegrees recovered from the ideal; disagreement is a warning, not an
     error, since it indicates a mislabeled model rather than a wrong span.
     """
-    if not isinstance(model, CurveModel):
-        raise ModelInconsistencyError("analysis needs a curve model")
     ring = GradedRing(model.genus, model.prime)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()

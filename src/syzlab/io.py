@@ -1,8 +1,10 @@
-"""Model/report persistence (JSON) and plain-text ideal export.
+"""Curve model files and reports (JSON), and plain-text ideal export.
 
 Files are deterministic: the same model serializes to the same bytes, and
 the model digest is a sha256 over the canonical JSON encoding.  Timings
 never enter digests so reruns of identical analyses stay comparable.
+Model files hold curves only (``"type": "curve"``); loading checks every
+field and refuses anything else with ModelInconsistencyError.
 """
 
 from __future__ import annotations
@@ -11,13 +13,13 @@ import hashlib
 import json
 from math import comb
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ModelInconsistencyError
 from .linalg import Subspace, check_prime
-from .models import BIELLIPTIC, DELPEZZO, FOURGONAL, VERONESE, CurveModel, SurfaceModel
+from .models import BIELLIPTIC, CURVE_FAMILIES, DELPEZZO, FOURGONAL, VERONESE, CurveModel
 from .ring import GradedRing
 
 FORMAT_VERSION = 1
@@ -82,9 +84,11 @@ def _require(data: dict, keys, what: str) -> None:
         raise ModelInconsistencyError(f"{what} lacks {', '.join(missing)}")
 
 
-def model_to_dict(model: Union[CurveModel, SurfaceModel]) -> dict:
-    base: dict[str, Any] = {
+def model_to_dict(model: CurveModel) -> dict:
+    return {
         "format_version": FORMAT_VERSION,
+        "type": "curve",
+        "family": model.family,
         "genus": model.genus,
         "prime": model.prime,
         "seed": model.seed,
@@ -95,15 +99,8 @@ def model_to_dict(model: Union[CurveModel, SurfaceModel]) -> dict:
             else [[int(x) for x in row] for row in model.sample_points]
         ),
         "params": model.params,
+        "surface_quadrics": _subspace_payload(model.surface_quadrics),
     }
-    if isinstance(model, CurveModel):
-        base["type"] = "curve"
-        base["family"] = model.family
-        base["surface_quadrics"] = _subspace_payload(model.surface_quadrics)
-    else:
-        base["type"] = "surface"
-        base["kind"] = model.kind
-    return base
 
 
 # params that every model file of the family carries (its constructor stores
@@ -118,22 +115,28 @@ _FAMILY_PARAMS = {
 }
 
 
-def model_from_dict(data: dict) -> Union[CurveModel, SurfaceModel]:
-    """Rebuild a model, raising ModelInconsistencyError on a malformed file."""
+def model_from_dict(data: dict) -> CurveModel:
+    """Rebuild a curve model, raising ModelInconsistencyError on a malformed file."""
     if not isinstance(data, dict):
         raise ModelInconsistencyError(f"model file holds a JSON {type(data).__name__}")
     if data.get("format_version") != FORMAT_VERSION:
         raise ModelInconsistencyError(
             f"unsupported format_version {data.get('format_version')!r}"
         )
-    kind_key = {"curve": "family", "surface": "kind"}.get(data.get("type"))
-    if kind_key is None:
-        raise ModelInconsistencyError(f"unknown model type {data.get('type')!r}")
-    _require(data, ("genus", "prime", "seed", "quadrics", kind_key), "model file")
+    if data.get("type") != "curve":
+        raise ModelInconsistencyError(f"model type {data.get('type')!r} is not 'curve'")
+    _require(data, ("genus", "prime", "seed", "quadrics", "family"), "model file")
+    family = data["family"]
+    if family not in CURVE_FAMILIES:
+        raise ModelInconsistencyError(
+            f"unknown family {family!r}, expected one of {sorted(CURVE_FAMILIES)}"
+        )
     for key in ("genus", "prime", "seed"):
         if type(data[key]) is not int:  # bool is an int subclass
             raise ModelInconsistencyError(f"{key} must be an integer, got {data[key]!r}")
     genus = data["genus"]
+    if genus < 5:
+        raise ModelInconsistencyError(f"genus must be at least 5, got {genus}")
     prime = check_prime(data["prime"])
     ambient_dim = comb(genus + 1, 2)
     quadrics = _subspace_from_payload(data["quadrics"], prime, ambient_dim)
@@ -145,17 +148,6 @@ def model_from_dict(data: dict) -> Union[CurveModel, SurfaceModel]:
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ModelInconsistencyError(f"params must be a JSON object, got {type(params).__name__}")
-    common = dict(
-        genus=genus,
-        prime=prime,
-        seed=data["seed"],
-        quadrics=quadrics,
-        sample_points=pts,
-        params=params,
-    )
-    if data["type"] == "surface":
-        return SurfaceModel(kind=data["kind"], **common)
-    family = data["family"]
     shapes = _FAMILY_PARAMS.get(family, {})
     _require(params, shapes, f"{family} model params")
     bad = [key for key, shape in shapes.items() if not _int_tree(params[key], shape)]
@@ -171,7 +163,16 @@ def model_from_dict(data: dict) -> Union[CurveModel, SurfaceModel]:
         raise ModelInconsistencyError(
             "surface quadrics are not contained in the curve quadrics"
         )
-    return CurveModel(family=family, surface_quadrics=surface, **common)
+    return CurveModel(
+        family=family,
+        genus=genus,
+        prime=prime,
+        seed=data["seed"],
+        quadrics=quadrics,
+        surface_quadrics=surface,
+        sample_points=pts,
+        params=params,
+    )
 
 
 def _witness_points(pts: np.ndarray, quadrics: Subspace, genus: int) -> np.ndarray:
@@ -193,24 +194,20 @@ def canonical_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def model_digest(model: Union[CurveModel, SurfaceModel]) -> str:
+def model_digest(model: CurveModel) -> str:
     return hashlib.sha256(canonical_json(model_to_dict(model)).encode()).hexdigest()
 
 
-def save_model(model: Union[CurveModel, SurfaceModel], path: PathLike) -> None:
+def save_model(model: CurveModel, path: PathLike) -> None:
     Path(path).write_text(canonical_json(model_to_dict(model)) + "\n")
 
 
-def load_model(path: PathLike) -> Union[CurveModel, SurfaceModel]:
+def load_model(path: PathLike) -> CurveModel:
     return model_from_dict(json.loads(Path(path).read_text()))
 
 
 def save_report(report: dict, path: PathLike) -> None:
     Path(path).write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
-
-
-def load_report(path: PathLike) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def strip_timings(report: dict) -> dict:
@@ -245,8 +242,9 @@ def polynomial_string(ring: GradedRing, degree: int, coeffs: np.ndarray) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def export_ideal_text(model: Union[CurveModel, SurfaceModel]) -> str:
-    """Generators of I_2 as one polynomial per line, with a reparseable header."""
+def export_ideal_text(model: CurveModel) -> str:
+    """Generators of I_2 as one polynomial per line, after comment headers
+    with the prime, the variable count and the witness points."""
     ring = GradedRing(model.genus, model.prime)
     lines = [f"# prime {model.prime}", f"# nvars {model.genus}"]
     if model.sample_points is not None:
@@ -255,60 +253,3 @@ def export_ideal_text(model: Union[CurveModel, SurfaceModel]) -> str:
     for row in model.quadrics.basis:
         lines.append(polynomial_string(ring, 2, row))
     return "\n".join(lines) + "\n"
-
-
-def parse_ideal_text(text: str) -> tuple[int, int, np.ndarray, Optional[np.ndarray]]:
-    """Inverse of export_ideal_text: (prime, nvars, quadric rows, points)."""
-    prime = nvars = None
-    points: list[list[int]] = []
-    polys: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if fields[:1] == ["prime"]:
-                prime = int(fields[1])
-            elif fields[:1] == ["nvars"]:
-                nvars = int(fields[1])
-            elif fields[:1] == ["point"]:
-                points.append([int(x) for x in fields[1:]])
-            continue
-        polys.append(line)
-    if prime is None or nvars is None:
-        raise ValueError("missing '# prime' or '# nvars' header")
-    ring = GradedRing(nvars, prime)
-    rows = np.zeros((len(polys), ring.dim(2)), dtype=np.int64)
-    for i, poly in enumerate(polys):
-        if poly == "0":
-            continue
-        for term in poly.split(" + "):
-            coeff, exps = _parse_term(term, nvars)
-            rows[i, ring.index_of(exps)] = (
-                rows[i, ring.index_of(exps)] + coeff
-            ) % prime
-    pts = np.array(points, dtype=np.int64) if points else None
-    return prime, nvars, rows, pts
-
-
-def _parse_term(term: str, nvars: int) -> tuple[int, list[int]]:
-    exps = [0] * nvars
-    parts = term.split("*")
-    try:
-        coeff = int(parts[0])
-        parts = parts[1:]
-    except ValueError:
-        coeff = 1  # unit coefficients are omitted on output
-    for factor in parts:
-        if "^" in factor:
-            name, power = factor.split("^")
-        else:
-            name, power = factor, "1"
-        if not name.startswith("Z"):
-            raise ValueError(f"unrecognized variable {name!r}")
-        var = int(name[1:]) - 1
-        if not 0 <= var < nvars:
-            raise ValueError(f"variable index out of range in {factor!r}")
-        exps[var] += int(power)
-    return coeff, exps

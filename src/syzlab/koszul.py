@@ -46,12 +46,6 @@ VERDICT_WHOLE = "WholeSpace"
 MAX_MATRIX_ENTRIES = 8_000_000
 
 
-def kappa21_expected(genus: int) -> int:
-    """Count of independent linear syzygies for a smooth non-trigonal,
-    non-plane-quintic canonical curve: (g-1)(g-3)(g-5)/3."""
-    return (genus - 1) * (genus - 3) * (genus - 5) // 3
-
-
 def syzygy_kernel(ring: GradedRing, quadrics: Subspace) -> Subspace:
     """All linear syzygies, flattened to vectors of length g * dim(I_2).
 
@@ -93,19 +87,6 @@ def quadrics_involved(ring: GradedRing, quadrics: Subspace, gamma) -> Subspace:
         raise InvalidSyzygyError("coefficient array is not a linear syzygy")
     rows = arr @ quadrics.basis % ring.prime
     return Subspace.from_rows(rows, quadrics.ambient_dim, ring.prime)
-
-
-def syzygy_coordinates(quadrics: Subspace, rows: np.ndarray) -> np.ndarray:
-    """Express quadric rows in the canonical basis of the given space.
-
-    Valid only when every row lies in the space; rows get shape (g, dim).
-    """
-    arr = np.asarray(rows, dtype=np.int64) % quadrics.prime
-    coords = arr[:, list(quadrics.pivot_cols)]
-    back = coords @ quadrics.basis % quadrics.prime
-    if not np.array_equal(back, arr):
-        raise InvalidSyzygyError("rows do not lie in the given quadric space")
-    return coords
 
 
 @dataclass(frozen=True)
@@ -246,26 +227,6 @@ class _KoszulComplex:
                 block = acts[v] if s % 2 == 0 else (-acts[v]) % prime
                 mat[i * m : (i + 1) * m, j * n : (j + 1) * n] = block
         return mat
-
-
-def koszul_dimension(
-    ring: GradedRing,
-    quadrics: Subspace,
-    p_idx: int,
-    q_idx: int,
-    max_entries: int = MAX_MATRIX_ENTRIES,
-) -> int:
-    """dim of the middle cohomology at (p, q) for the algebra S/(quadrics).
-
-    Supports q in 0..3 (the outgoing map at q = 3 needs the degree-4 part
-    of the ideal, the highest this package expands).  Raises SizeLimitError
-    before building any matrix with more than max_entries entries.
-    """
-    if not 0 <= q_idx <= 3:
-        raise UnsupportedDegreeError(
-            f"column degree must be in 0..3, got {q_idx}"
-        )
-    return _KoszulComplex(ring, quadrics, max_entries).kappa(p_idx, q_idx)
 
 
 @dataclass

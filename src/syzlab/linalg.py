@@ -213,10 +213,6 @@ class Subspace:
             return Subspace.full(self.ambient_dim, self.prime)
         return kernel_basis(self.basis, self.prime)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        self._check_compatible(other)
-        return self.complement().sum(other.complement()).complement()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -257,19 +253,3 @@ def kernel_basis(mat, p: int) -> Subspace:
     basis.setflags(write=False)
     pivots = tuple(int(ncols - 1 - f) for f in free[::-1])
     return Subspace(ncols, p, basis, pivots)
-
-
-def solve(mat, rhs, p: int) -> np.ndarray | None:
-    """One solution of mat @ x = rhs, or None if inconsistent."""
-    a = _as_matrix(mat, p)
-    b = np.asarray(rhs, dtype=np.int64) % p
-    if b.ndim != 1 or b.shape[0] != a.shape[0]:
-        raise DimensionMismatchError("rhs length must match row count")
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    rk, red, piv = rref(aug, p)
-    ncols = a.shape[1]
-    if ncols in piv:
-        return None
-    x = np.zeros(ncols, dtype=np.int64)
-    x[piv] = red[:rk, ncols]
-    return x

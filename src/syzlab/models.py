@@ -1,10 +1,10 @@
-"""Plain data carriers shared by the geometric constructors.
+"""The one model type: a canonical curve given by its quadrics.
 
 A model stores exactly what analysis needs: the quadric ideal piece of the
 curve, optionally the quadrics of the surface it is expected to sweep out,
-and best-effort witness points (possibly None; for a curve, at most 24
-projectively distinct ones found under one draw budget) for cheap
-vanishing spot-checks; loading a model file checks that they vanish.
+and best-effort witness points (possibly None; at most 24 projectively
+distinct ones found under one draw budget) for cheap vanishing
+spot-checks; loading a model file checks that they vanish.
 """
 
 from __future__ import annotations
@@ -23,19 +23,6 @@ VERONESE = "veronese"
 GENUS5 = "genus5"
 
 CURVE_FAMILIES = (FOURGONAL, BIELLIPTIC, DELPEZZO, VERONESE, GENUS5)
-
-
-@dataclass
-class SurfaceModel:
-    """A surface of degree g-1 in P^{g-1} given by its quadric ideal piece."""
-
-    kind: str
-    genus: int
-    prime: int
-    seed: int
-    quadrics: Subspace
-    sample_points: Optional[np.ndarray] = None
-    params: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass

@@ -61,9 +61,6 @@ class GradedVector:
     degree: int
     coeffs: np.ndarray
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
 
 class GradedRing:
     """Monomial indexing and multiplication for one fixed (g, p)."""
@@ -90,19 +87,6 @@ class GradedRing:
         e = tuple(int(x) for x in exponent)
         return _monomials(self.num_vars, sum(e))[1][e]
 
-    def monomial(self, exponent) -> GradedVector:
-        e = tuple(int(x) for x in exponent)
-        d = sum(e)
-        coeffs = np.zeros(self.dim(d), dtype=np.int64)
-        coeffs[self.index_of(e)] = 1
-        return GradedVector(d, coeffs)
-
-    def variable(self, i: int) -> GradedVector:
-        """The linear form Z_{i+1} (0-based index)."""
-        e = [0] * self.num_vars
-        e[i] = 1
-        return self.monomial(e)
-
     def vector(self, degree: int, coeffs) -> GradedVector:
         arr = np.asarray(coeffs, dtype=np.int64) % self.prime
         if arr.shape != (self.dim(degree),):
@@ -111,9 +95,6 @@ class GradedRing:
                 f"got shape {arr.shape}"
             )
         return GradedVector(degree, arr)
-
-    def zero(self, degree: int) -> GradedVector:
-        return GradedVector(degree, np.zeros(self.dim(degree), dtype=np.int64))
 
     def product_table(self, d1: int, d2: int) -> np.ndarray:
         """table[i, j] = index of (monomial_i(d1) * monomial_j(d2)) in degree d1+d2."""
@@ -129,12 +110,6 @@ class GradedRing:
             cols = table[i]
             out[cols] = (out[cols] + int(f.coeffs[i]) * h.coeffs) % p
         return GradedVector(f.degree + h.degree, out)
-
-    def evaluate(self, f: GradedVector, points) -> np.ndarray:
-        """Values of f at each point (rows of length g)."""
-        vals = self.evaluate_monomials(f.degree, points)
-        # dot length = dim(degree); fine for the supported prime bound
-        return vals @ f.coeffs % self.prime
 
     def evaluate_monomials(self, degree: int, points) -> np.ndarray:
         """(npoints, dim) matrix of monomial values at the given points."""

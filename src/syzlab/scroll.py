@@ -557,21 +557,3 @@ def fourgonal_curve(
             "q2_blocks": [[int(c) for c in blk] for blk in q2.blocks],
         },
     )
-
-
-def fourgonal_sections(model: CurveModel) -> tuple[Section2H, Section2H]:
-    """Rebuild the two defining sections stored in a 4-gonal model."""
-    if model.family != FOURGONAL:
-        raise ValueError(f"model family is {model.family!r}, not {FOURGONAL!r}")
-    frame = ScrollFrame(tuple(model.params["frame"]))
-    q1 = Section2H(
-        frame,
-        int(model.params["a"]),
-        tuple(np.array(blk, dtype=np.int64) for blk in model.params["q1_blocks"]),
-    )
-    q2 = Section2H(
-        frame,
-        int(model.params["b"]),
-        tuple(np.array(blk, dtype=np.int64) for blk in model.params["q2_blocks"]),
-    )
-    return q1, q2

@@ -1,12 +1,13 @@
-"""Degree-(g-1) surfaces and the special curves cut on them by one quadric.
+"""Canonical curves cut by one quadric on a degree-(g-1) surface, and genus 5.
 
-Three families: cones over elliptic normal curves (with the bielliptic
-curves they carry), Del Pezzo surfaces from plane cubics through 10-g
-base points, and the cubic Veronese at g = 10.  Each surface ideal is the
-exact kernel I_2 = ker(Sym^2 H^0(L) -> H^0(L^2)) of multiplying the
-coordinate functions pairwise, which is all of I_2 because these
-embeddings are projectively normal.  Witness points are best effort: a
-curve model stores up to 24 projectively distinct GF(p)-points, gathered
+Three surfaces host them: cones over elliptic normal curves (bielliptic
+curves), Del Pezzo surfaces from plane cubics through 10-g base points,
+and the cubic Veronese at g = 10.  A surface enters a model only through
+its quadrics, stored as ``CurveModel.surface_quadrics``: the exact kernel
+I_2 = ker(Sym^2 H^0(L) -> H^0(L^2)) of multiplying the coordinate
+functions pairwise, which is all of I_2 because these embeddings are
+projectively normal.  Witness points are best effort: a curve model
+stores up to 24 projectively distinct GF(p)-points of the curve, gathered
 under one draw budget, or None when none turns up.
 """
 
@@ -26,19 +27,8 @@ from .linalg import (
     check_prime,
     kernel_basis,
 )
-from .models import (
-    BIELLIPTIC,
-    DELPEZZO,
-    GENUS5,
-    VERONESE,
-    CurveModel,
-    SurfaceModel,
-)
+from .models import BIELLIPTIC, DELPEZZO, GENUS5, VERONESE, CurveModel
 from .ring import GradedRing
-
-KIND_ELLIPTIC_CONE = "EllipticCone"
-KIND_DELPEZZO = "DelPezzo"
-KIND_VERONESE = "Veronese"
 
 MAX_REDRAWS = 8
 
@@ -75,27 +65,6 @@ class WeierstrassCurve:
             if (4 * pow(a4, 3, p) + 27 * a6 * a6) % p != 0:
                 return cls(a4, a6, p)
         raise GenericityExhaustedError("could not draw a nonsingular cubic")
-
-
-def weierstrass_points(
-    curve: WeierstrassCurve, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Up to count distinct affine points (x, y), deterministic given the rng state.
-
-    Returns fewer, possibly none, when the attempt budget runs out first,
-    as it must over small fields with fewer than count points.
-    """
-    p = curve.prime
-    pts: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for _ in range(64 * count + 256):
-        if len(pts) >= count:
-            break
-        for cand in _points_over(curve, int(rng.integers(0, p))):
-            if cand not in seen and len(pts) < count:
-                seen.add(cand)
-                pts.append(cand)
-    return np.array(pts, dtype=np.int64).reshape(-1, 2)
 
 
 def _points_over(curve: WeierstrassCurve, x: int) -> list[tuple[int, int]]:
@@ -153,14 +122,10 @@ def _quadric_kernel(
 # -- elliptic normal curves and cones ----------------------------------------
 
 
-def elliptic_normal_ideal(
-    n: int, curve: WeierstrassCurve, seed
-) -> tuple[Subspace, np.ndarray]:
+def elliptic_normal_ideal(n: int, curve: WeierstrassCurve) -> Subspace:
     """Quadrics through the degree-n elliptic normal curve in P^{n-1}.
 
-    Returns (quadrics, embedded witness points); the quadric count is
-    n(n-3)/2, zero for the plane cubic n = 3.  Over small fields there may
-    be fewer than the usual 24 witnesses, or none.
+    There are n(n-3)/2 of them, none for the plane cubic n = 3.
     """
     if n < 3:
         raise ValueError(f"degree must be >= 3, got {n}")
@@ -187,88 +152,24 @@ def elliptic_normal_ideal(
         raise ModelInconsistencyError(
             f"degree-{n} elliptic embedding gave {quadrics.dim} quadrics, expected {expected}"
         )
-    rng = np.random.default_rng(seed)
-    return quadrics, embed_points(curve, n, weierstrass_points(curve, 24, rng))
+    return quadrics
 
 
-def _reindex_to_cone(quadrics: Subspace, small: GradedRing, big: GradedRing) -> Subspace:
-    """Quadrics in variables Z_1..Z_n become quadrics in Z_2..Z_{n+1}."""
-    col_map = np.array(
-        [big.index_of([0] + [int(x) for x in e]) for e in small.exponents(2)],
-        dtype=np.int64,
-    )
-    rows = np.zeros((quadrics.dim, big.dim(2)), dtype=np.int64)
-    rows[:, col_map] = quadrics.basis
+def _cone_quadrics(genus: int, curve: WeierstrassCurve) -> Subspace:
+    """Quadrics of the cone in P^{g-1} with vertex (1:0:...:0) over the
+    degree-(g-1) elliptic normal curve: its quadrics in Z_1..Z_{g-1} become
+    quadrics in Z_2..Z_g.  There are (g-1)(g-4)/2 = C(g-2, 2) - 1."""
+    if genus < 6:
+        raise ValueError(f"cone surfaces need genus >= 6, got {genus}")
+    small, big = GradedRing(genus - 1, curve.prime), GradedRing(genus, curve.prime)
+    col_map = [big.index_of([0] + [int(x) for x in e]) for e in small.exponents(2)]
+    base = elliptic_normal_ideal(genus - 1, curve)
+    rows = np.zeros((base.dim, big.dim(2)), dtype=np.int64)
+    rows[:, col_map] = base.basis
     return Subspace.from_rows(rows, big.dim(2), big.prime)
 
 
-def _cone_points(
-    embedded: np.ndarray, count: int, prime: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Points lam*(vertex) + mu*(0, curve point); the vertex comes first.
-
-    Only the vertex when there is no curve point to rule through.
-    """
-    g = embedded.shape[1] + 1
-    out = np.zeros((count if len(embedded) else 1, g), dtype=np.int64)
-    out[0, 0] = 1  # the vertex itself
-    for row in range(1, len(out)):
-        base = embedded[int(rng.integers(0, len(embedded)))]
-        lam = int(rng.integers(0, prime))
-        mu = int(rng.integers(1, prime))
-        out[row, 0] = lam
-        out[row, 1:] = mu * base % prime
-    return out
-
-
-def _elliptic_cone_rng(
-    genus: int, curve: WeierstrassCurve, seed, rng: np.random.Generator
-) -> SurfaceModel:
-    if genus < 6:
-        raise ValueError(f"cone surfaces need genus >= 6, got {genus}")
-    p = curve.prime
-    quadrics_small, embedded = elliptic_normal_ideal(genus - 1, curve, rng)
-    small = GradedRing(genus - 1, p)
-    big = GradedRing(genus, p)
-    quadrics = _reindex_to_cone(quadrics_small, small, big)
-    if quadrics.dim != comb(genus - 2, 2) - 1:
-        raise ModelInconsistencyError(
-            f"cone ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2) - 1}"
-        )
-    points = _cone_points(embedded, 120, p, rng)
-    return SurfaceModel(
-        kind=KIND_ELLIPTIC_CONE,
-        genus=genus,
-        prime=p,
-        seed=int(seed) if isinstance(seed, (int, np.integer)) else -1,
-        quadrics=quadrics,
-        sample_points=points,
-        params={"a4": curve.a4, "a6": curve.a6},
-    )
-
-
-def elliptic_cone(
-    genus: int,
-    seed: int,
-    curve: Optional[WeierstrassCurve] = None,
-    prime: int = DEFAULT_PRIME,
-) -> SurfaceModel:
-    """Cone in P^{g-1} over an elliptic normal curve of degree g-1."""
-    p = check_prime(prime)
-    rng = np.random.default_rng(seed)
-    if curve is None:
-        curve = WeierstrassCurve.random(p, rng)
-    elif curve.prime != p:
-        raise ValueError(f"curve is over GF({curve.prime}), requested prime {p}")
-    return _elliptic_cone_rng(genus, curve, seed, rng)
-
-
-def bielliptic_curve(
-    genus: int,
-    seed: int,
-    curve: Optional[WeierstrassCurve] = None,
-    prime: int = DEFAULT_PRIME,
-) -> CurveModel:
+def bielliptic_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveModel:
     """Bielliptic canonical curve: quadric section of an elliptic cone.
 
     The extra quadric is drawn with nonzero vertex value, so the curve
@@ -277,11 +178,8 @@ def bielliptic_curve(
     """
     p = check_prime(prime)
     rng = np.random.default_rng(seed)
-    if curve is None:
-        curve = WeierstrassCurve.random(p, rng)
-    elif curve.prime != p:
-        raise ValueError(f"curve is over GF({curve.prime}), requested prime {p}")
-    surface = _elliptic_cone_rng(genus, curve, seed, rng)
+    curve = WeierstrassCurve.random(p, rng)
+    surface = _cone_quadrics(genus, curve)
     ring = GradedRing(genus, p)
     vertex_sq = ring.index_of([2] + [0] * (genus - 1))
     for _ in range(MAX_REDRAWS):
@@ -292,9 +190,7 @@ def bielliptic_curve(
         raise GenericityExhaustedError(
             "every drawn quadric vanished at the cone vertex"
         )
-    quadrics = surface.quadrics.sum(
-        Subspace.from_rows(quad, ring.dim(2), p)
-    )
+    quadrics = surface.sum(Subspace.from_rows(quad, ring.dim(2), p))
     if quadrics.dim != comb(genus - 2, 2):
         raise ModelInconsistencyError(
             f"bielliptic ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2)}"
@@ -306,7 +202,7 @@ def bielliptic_curve(
         prime=p,
         seed=int(seed),
         quadrics=quadrics,
-        surface_quadrics=surface.quadrics,
+        surface_quadrics=surface,
         sample_points=points if len(points) else None,
         params={"a4": curve.a4, "a6": curve.a6},
     )
@@ -350,20 +246,25 @@ def _plane_cubic_basis(
 
 
 def _delpezzo_surface_rng(
-    genus: int, seed, prime: int, rng: np.random.Generator
-) -> tuple[SurfaceModel, Subspace]:
-    """The surface and the cubic basis (its coordinate functions)."""
+    genus: int, prime: int, rng: np.random.Generator
+) -> tuple[Subspace, Subspace, np.ndarray]:
+    """(quadrics, cubics, base points) of the image of the plane under the
+    cubics through 10-g general base points.
+
+    Degree g-1 in P^{g-1}: an honest Del Pezzo for g in 6..9 and the cubic
+    Veronese embedding of the whole plane at g = 10.  The cubic basis is the
+    surface's coordinate functions.
+    """
     if not 6 <= genus <= 10:
         raise ValueError(f"plane-cubic surfaces exist for genus 6..10, got {genus}")
-    p = check_prime(prime)
-    ring3 = GradedRing(3, p)
+    ring3 = GradedRing(3, prime)
     n_base = 10 - genus
     cubics: Optional[Subspace] = None
     base = np.zeros((0, 3), dtype=np.int64)
     for _ in range(MAX_REDRAWS):
         base = np.hstack(
             [
-                rng.integers(0, p, size=(n_base, 2), dtype=np.int64),
+                rng.integers(0, prime, size=(n_base, 2), dtype=np.int64),
                 np.ones((n_base, 1), dtype=np.int64),
             ]
         )
@@ -378,53 +279,28 @@ def _delpezzo_surface_rng(
 
     cubic = [ring3.vector(3, row) for row in cubics.basis]
     quadrics = _quadric_kernel(
-        GradedRing(genus, p), lambda u, v: ring3.multiply(cubic[u], cubic[v]).coeffs
+        GradedRing(genus, prime), lambda u, v: ring3.multiply(cubic[u], cubic[v]).coeffs
     )
-    plane = np.hstack(
-        [
-            rng.integers(0, p, size=(4 * genus, 2), dtype=np.int64),
-            np.ones((4 * genus, 1), dtype=np.int64),
-        ]
-    )
-    images = ring3.evaluate_monomials(3, plane) @ cubics.basis.T % p
-    images = images[images.any(axis=1)]
     if quadrics.dim != comb(genus - 2, 2) - 1:
         raise ModelInconsistencyError(
             f"surface ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2) - 1}"
         )
-    return SurfaceModel(
-        kind=KIND_VERONESE if genus == 10 else KIND_DELPEZZO,
-        genus=genus,
-        prime=p,
-        seed=int(seed) if isinstance(seed, (int, np.integer)) else -1,
-        quadrics=quadrics,
-        sample_points=images if len(images) else None,
-        params={"base_points": [[int(c) for c in row] for row in base]},
-    ), cubics
-
-
-def delpezzo_surface(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> SurfaceModel:
-    """Image of the plane under cubics through 10-g general points.
-
-    Degree g-1 in P^{g-1}: an honest Del Pezzo for g in 6..9 and the cubic
-    Veronese embedding of the whole plane at g = 10.
-    """
-    return _delpezzo_surface_rng(genus, seed, prime, np.random.default_rng(seed))[0]
+    return quadrics, cubics, base
 
 
 def delpezzo_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveModel:
     """Canonical curve cut on a plane-cubic surface by one extra quadric."""
     p = check_prime(prime)
     rng = np.random.default_rng(seed)
-    surface, cubics = _delpezzo_surface_rng(genus, seed, p, rng)
+    surface, cubics, base = _delpezzo_surface_rng(genus, p, rng)
     ring_g = GradedRing(genus, p)
     for _ in range(MAX_REDRAWS):
         quad = rng.integers(0, p, size=ring_g.dim(2), dtype=np.int64)
-        if not surface.quadrics.contains(quad):
+        if not surface.contains(quad):
             break
     else:
         raise GenericityExhaustedError("drawn quadrics all contained the surface ideal")
-    quadrics = surface.quadrics.sum(Subspace.from_rows(quad, ring_g.dim(2), p))
+    quadrics = surface.sum(Subspace.from_rows(quad, ring_g.dim(2), p))
     if quadrics.dim != comb(genus - 2, 2):
         raise ModelInconsistencyError(
             f"curve ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2)}"
@@ -437,9 +313,9 @@ def delpezzo_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveMo
         prime=p,
         seed=int(seed),
         quadrics=quadrics,
-        surface_quadrics=surface.quadrics,
+        surface_quadrics=surface,
         sample_points=points if len(points) else None,
-        params={"base_points": surface.params["base_points"]},
+        params={"base_points": [[int(c) for c in row] for row in base]},
     )
 
 

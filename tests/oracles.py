@@ -2,10 +2,13 @@
 
 Deliberately naive and numpy-free so a bug in the vectorized library path
 cannot hide in shared code: plain list-of-list Gaussian elimination over
-GF(p), plus a brute-force polynomial evaluator.
+GF(p), a brute-force polynomial evaluator, a sampler of elliptic-curve
+points and a parser of the exported ideal text.
 """
 
 from __future__ import annotations
+
+import random
 
 
 def oracle_rref(rows: list[list[int]], p: int) -> tuple[int, list[list[int]], list[int]]:
@@ -131,3 +134,71 @@ def oracle_syzygy_span(kernel_rows, quadric_rows, p: int) -> list[list[int]]:
                 [sum(c * q[k] for c, q in zip(slot, quadric_rows)) % p for k in range(n)]
             )
     return oracle_rref(stacked, p)[1]
+
+
+def oracle_weierstrass_points(a4: int, a6: int, p: int, count: int, seed) -> list[tuple[int, int]]:
+    """Up to count distinct affine points (x, y) of y^2 = x^3 + a4*x + a6
+    over GF(p), p = 3 mod 4, from random x; fewer only when the attempt
+    budget runs out first."""
+    assert p % 4 == 3, "square roots here are rhs^((p+1)/4)"
+    rng = random.Random(seed)
+    found: dict[tuple[int, int], None] = {}
+    for _ in range(64 * count + 256):
+        if len(found) >= count:
+            break
+        x = rng.randrange(p)
+        rhs = (x * x * x + a4 * x + a6) % p
+        y = pow(rhs, (p + 1) // 4, p)
+        if y * y % p == rhs:
+            for pt in ((x, y), (x, -y % p)):
+                if len(found) < count:
+                    found.setdefault(pt)
+    return list(found)
+
+
+def oracle_parse_ideal_text(text: str):
+    """Inverse of syzlab.io.export_ideal_text: (prime, nvars, polynomials,
+    points).  Each polynomial is a dict from exponent tuples to nonzero
+    coefficients mod prime; points is a list of integer rows, or None when
+    the text holds none.  Raises ValueError on text the exporter never
+    writes: missing headers or an unknown variable."""
+    prime = nvars = None
+    points: list[list[int]] = []
+    lines: list[str] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line.startswith("#"):
+            if line:
+                lines.append(line)
+            continue
+        key, *values = line[1:].split()
+        if key == "prime":
+            prime = int(values[0])
+        elif key == "nvars":
+            nvars = int(values[0])
+        elif key == "point":
+            points.append([int(x) for x in values])
+    if prime is None or nvars is None:
+        raise ValueError("missing '# prime' or '# nvars' header")
+    polys = []
+    for line in lines:
+        poly: dict[tuple[int, ...], int] = {}
+        for term in [] if line == "0" else line.split(" + "):
+            coeff, exps = _oracle_term(term, nvars)
+            poly[exps] = (poly.get(exps, 0) + coeff) % prime
+        polys.append({e: c for e, c in poly.items() if c})
+    return prime, nvars, polys, points or None
+
+
+def _oracle_term(term: str, nvars: int) -> tuple[int, tuple[int, ...]]:
+    """(coefficient, exponents) of one exported term such as 5*Z1^2*Z3."""
+    factors = term.split("*")
+    coeff = int(factors.pop(0)) if factors[0].isdigit() else 1  # unit coefficients are omitted
+    exps = [0] * nvars
+    for factor in factors:
+        name, _, power = factor.partition("^")
+        var = int(name[1:]) if name[:1] == "Z" and name[1:].isdigit() else 0
+        if not 1 <= var <= nvars:
+            raise ValueError(f"unrecognized variable in {factor!r}")
+        exps[var - 1] += int(power or 1)
+    return coeff, tuple(exps)

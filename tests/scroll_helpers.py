@@ -1,5 +1,6 @@
 """Scroll constructions that only the tests need, written against the
-public ring API rather than the library's scroll internals.
+public ring API rather than the library's scroll internals, with the
+linear solve and the section rebuild they use.
 
 Rolling factors: with Y/W the top and bottom entries of
 `ScrollFrame.columns()`, A_j linear forms and alpha_j scalars, put
@@ -19,9 +20,39 @@ from itertools import combinations
 
 import numpy as np
 
-from syzlab.linalg import DEFAULT_PRIME, Subspace, kernel_basis, solve
-from syzlab.ring import GradedRing
-from syzlab.scroll import ScrollFrame, lift_section, scroll_minors
+from syzlab.linalg import DEFAULT_PRIME, Subspace, kernel_basis, rref
+from syzlab.models import FOURGONAL, CurveModel
+from syzlab.ring import GradedRing, GradedVector
+from syzlab.scroll import ScrollFrame, Section2H, lift_section, scroll_minors
+
+
+def variable(ring: GradedRing, v: int) -> GradedVector:
+    """The linear form Z_{v+1}."""
+    return ring.vector(1, np.eye(ring.num_vars, dtype=np.int64)[v])
+
+
+def solve(mat, rhs, p: int) -> np.ndarray | None:
+    """One solution of mat @ x = rhs over GF(p), or None if inconsistent."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+    rk, red, piv = rref(np.column_stack([mat, rhs]), p)
+    ncols = mat.shape[1]
+    if ncols in piv:
+        return None
+    x = np.zeros(ncols, dtype=np.int64)
+    x[piv] = red[:rk, ncols]
+    return x
+
+
+def fourgonal_sections(model: CurveModel) -> tuple[Section2H, Section2H]:
+    """The two defining sections stored in a 4-gonal model's params."""
+    assert model.family == FOURGONAL, model.family
+    frame = ScrollFrame(tuple(model.params["frame"]))
+
+    def section(twist: str, blocks: str) -> Section2H:
+        arrays = tuple(np.array(b, dtype=np.int64) for b in model.params[blocks])
+        return Section2H(frame, int(model.params[twist]), arrays)
+
+    return section("a", "q1_blocks"), section("b", "q2_blocks")
 
 
 def scroll_points(frame: ScrollFrame, n: int, seed, prime: int = DEFAULT_PRIME) -> np.ndarray:
@@ -49,7 +80,7 @@ def scroll_ring_syzygies(frame: ScrollFrame, ring: GradedRing, sections) -> Subs
     """
     cubics = ring.ideal_piece(scroll_minors(frame, ring), 3)
     lifts = [lift_section(ring, sec) for sec in sections]
-    rows = [ring.multiply(ring.variable(v), q).coeffs for v in range(ring.num_vars) for q in lifts]
+    rows = [ring.multiply(variable(ring, v), q).coeffs for v in range(ring.num_vars) for q in lifts]
     return kernel_basis(cubics.reduce(np.array(rows)).T, ring.prime)
 
 
@@ -64,7 +95,7 @@ def pad_syzygies(sub: Subspace, g: int, width: int, offset: int) -> Subspace:
 
 def _times(ring: GradedRing, f, var: int) -> np.ndarray:
     """Coefficients of f * Z_var."""
-    return ring.multiply(f, ring.variable(var)).coeffs
+    return ring.multiply(f, variable(ring, var)).coeffs
 
 
 def rolling_syzygy(frame: ScrollFrame, ring: GradedRing, a_forms, alpha):
@@ -83,8 +114,8 @@ def rolling_syzygy(frame: ScrollFrame, ring: GradedRing, a_forms, alpha):
     gamma = np.outer(h_bot, q1) - np.outer(h_top, q2)
     for j, k in combinations(range(len(tops)), 2):
         delta = (alpha[k] * a_forms[j] - alpha[j] * a_forms[k]) % p
-        minor = (_times(ring, ring.variable(tops[j]), bottoms[k])
-                 - _times(ring, ring.variable(tops[k]), bottoms[j]))
+        minor = (_times(ring, variable(ring, tops[j]), bottoms[k])
+                 - _times(ring, variable(ring, tops[k]), bottoms[j]))
         gamma = gamma - np.outer(delta, minor)
     return q1, q2, gamma % p
 
@@ -101,6 +132,6 @@ def top_row_forms(frame: ScrollFrame, ring: GradedRing, quad) -> np.ndarray | No
     by solving against the products Y_j * Z_v; None if quad has no such form."""
     tops = [y for y, _ in frame.columns()]
     g = ring.num_vars
-    products = [_times(ring, ring.variable(y), v) for y in tops for v in range(g)]
+    products = [_times(ring, variable(ring, y), v) for y in tops for v in range(g)]
     found = solve(np.array(products).T, quad, ring.prime)
     return None if found is None else found.reshape(len(tops), g)

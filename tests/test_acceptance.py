@@ -12,8 +12,9 @@ from math import comb
 
 import numpy as np
 
-from oracles import oracle_kernel_dim, oracle_rank
+from oracles import oracle_kernel_dim, oracle_rank, oracle_weierstrass_points
 from scroll_helpers import (
+    fourgonal_sections,
     pad_syzygies,
     rolling_residual,
     scroll_points,
@@ -26,8 +27,6 @@ from syzlab.koszul import (
     VERDICT_SURFACE,
     VERDICT_WHOLE,
     betti_table,
-    kappa21_expected,
-    koszul_dimension,
     linear_syzygies,
     syz2_span,
 )
@@ -37,7 +36,6 @@ from syzlab.scroll import (
     ScrollFrame,
     binary_monomial,
     fourgonal_curve,
-    fourgonal_sections,
     scroll_minors,
     twist_down,
 )
@@ -45,11 +43,9 @@ from syzlab.surfaces import (
     WeierstrassCurve,
     bielliptic_curve,
     delpezzo_curve,
-    delpezzo_surface,
     elliptic_normal_ideal,
     embed_points,
     genus5_intersection,
-    weierstrass_points,
 )
 
 P = DEFAULT_PRIME
@@ -79,7 +75,7 @@ def test_criterion_1_kappa21_formula_all_families():
             found = len(linear_syzygies(ring, model.quadrics))
             dt = time.perf_counter() - t0
             slowest = max(slowest, dt)
-            counts_ok &= found == kappa21_expected(g) == (g - 1) * (g - 3) * (g - 5) // 3
+            counts_ok &= found == (g - 1) * (g - 3) * (g - 5) // 3
     ok = counts_ok and slowest < 10.0
     _report(
         1,
@@ -120,11 +116,12 @@ def test_criterion_3_genus10_plane_sextic_counts():
     model = delpezzo_curve(10, seed=300)
     ring = GradedRing(10, P)
     surface = model.surface_quadrics
-    k11_curve = koszul_dimension(ring, model.quadrics, 1, 1)
-    k11_surface = koszul_dimension(ring, surface, 1, 1)
+    # the budget skips the costly cells of rows q >= 2, which are not read
+    curve_grid = betti_table(ring, model.quadrics, p_max=2, max_entries=200_000)
+    surface_grid = betti_table(ring, surface, p_max=2, max_entries=200_000)
+    k11_curve, k21_curve = curve_grid.value(1, 1), curve_grid.value(2, 1)
+    k11_surface, k21_surface = surface_grid.value(1, 1), surface_grid.value(2, 1)
     cubics_surface = ring.ideal_piece(surface, 3).dim
-    k21_surface = koszul_dimension(ring, surface, 2, 1)
-    k21_curve = koszul_dimension(ring, model.quadrics, 2, 1)
     rep = syz2_span(ring, model.quadrics, surface)
     dt = time.perf_counter() - t0
     ok = (
@@ -238,7 +235,7 @@ def test_criterion_7_scroll_quotient_syzygy_dimensions():
         ok &= s1.dim == a * (g - 3) and s2.dim == b * (g - 3)
         e1 = pad_syzygies(s1, g, g - 3, 0)
         e2 = pad_syzygies(s2, g, g - 3, a + 1)
-        ok &= e1.sum(e2) == full and e1.intersect(e2).dim == 0
+        ok &= e1.sum(e2) == full and e1.sum(e2).dim == e1.dim + e2.dim
     _report(
         7,
         ok,
@@ -280,25 +277,26 @@ def test_criterion_8_oracle_equivalence_and_sampling_stability():
     # elliptic normal curves: the exact ideal against the kernel of monomial
     # evaluations at an independent sample and at that sample doubled
     curve = WeierstrassCurve(2, 3, P)
+
+    def embedded_sample(n: int, count: int, seed: int) -> np.ndarray:
+        affine = oracle_weierstrass_points(curve.a4, curve.a6, P, count, seed)
+        return embed_points(curve, n, np.array(affine, dtype=np.int64))
+
     for n in (6, 8):
-        quadrics, _ = elliptic_normal_ideal(n, curve, seed=803 + n)
+        quadrics = elliptic_normal_ideal(n, curve)
         ring_n = GradedRing(n, P)
-        first = embed_points(
-            curve, n, weierstrass_points(curve, 3 * ring_n.dim(2), np.random.default_rng(805 + n))
-        )
-        fresh = embed_points(
-            curve, n, weierstrass_points(curve, len(first), np.random.default_rng(815 + n))
-        )
+        first = embedded_sample(n, 3 * ring_n.dim(2), seed=805 + n)
+        fresh = embedded_sample(n, len(first), seed=815 + n)
         k1 = kernel_basis(ring_n.evaluate_monomials(2, first), P)
         k2 = kernel_basis(ring_n.evaluate_monomials(2, np.vstack([first, fresh])), P)
         doubling_ok &= k1 == k2 == quadrics
 
-    # plane-cubic images: regenerate the map from the stored base points and
-    # compare the same way
+    # plane-cubic images: regenerate the map from a curve's stored base points
+    # and compare the same way with its surface quadrics
     ring3 = GradedRing(3, P)
     for g in range(6, 11):
-        surface = delpezzo_surface(g, seed=806 + g)
-        base = np.array(surface.params["base_points"], dtype=np.int64).reshape(-1, 3)
+        model = delpezzo_curve(g, seed=806 + g)
+        base = np.array(model.params["base_points"], dtype=np.int64).reshape(-1, 3)
         cubics = (
             Subspace.full(ring3.dim(3), P)
             if len(base) == 0
@@ -323,7 +321,7 @@ def test_criterion_8_oracle_equivalence_and_sampling_stability():
         k1 = kernel_basis(ring_g.evaluate_monomials(2, first), P)
         doubled = np.vstack([first, fresh_image(len(first))])
         k2 = kernel_basis(ring_g.evaluate_monomials(2, doubled), P)
-        doubling_ok &= k1 == k2 == surface.quadrics
+        doubling_ok &= k1 == k2 == model.surface_quadrics
 
     ok = matrices_ok and doubling_ok
     _report(

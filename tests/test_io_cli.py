@@ -6,6 +6,8 @@ from math import comb
 import numpy as np
 import pytest
 
+from oracles import oracle_parse_ideal_text
+
 from syzlab.cli import main
 from syzlab.errors import ModelInconsistencyError
 from syzlab.harness import (
@@ -20,11 +22,9 @@ from syzlab.harness import (
 from syzlab.io import (
     export_ideal_text,
     load_model,
-    load_report,
     model_digest,
     model_from_dict,
     model_to_dict,
-    parse_ideal_text,
     polynomial_string,
     save_model,
     strip_timings,
@@ -32,7 +32,7 @@ from syzlab.io import (
 from syzlab.linalg import DEFAULT_PRIME, Subspace
 from syzlab.ring import GradedRing
 from syzlab.scroll import ScrollFrame, fourgonal_curve
-from syzlab.surfaces import bielliptic_curve, delpezzo_curve, delpezzo_surface, elliptic_cone
+from syzlab.surfaces import bielliptic_curve, delpezzo_curve
 
 P = DEFAULT_PRIME
 
@@ -49,11 +49,14 @@ def test_model_dict_round_trip_curve():
 
 
 def test_model_dict_round_trip_surface():
-    surface = delpezzo_surface(9, seed=81)
-    back = model_from_dict(model_to_dict(surface))
-    assert back.kind == surface.kind
-    assert back.quadrics == surface.quadrics
-    assert back.params == surface.params
+    # a hosting surface is stored on its curve: its quadrics and, for a
+    # plane-cubic surface, its base points
+    model = delpezzo_curve(9, seed=81)
+    data = model_to_dict(model)
+    assert data["type"] == "curve" and "kind" not in data
+    back = model_from_dict(data)
+    assert back.surface_quadrics == model.surface_quadrics
+    assert back.params == model.params == {"base_points": model.params["base_points"]}
 
 
 def test_model_file_round_trip(tmp_path):
@@ -80,10 +83,10 @@ PINNED_DIGESTS = {
     ("genus5", None, P): "fac0f6fe1bd6118821ad682dee95eaedeae18dfe231432a092dcd957ce08b3be",
     ("fourgonal", 8, 7): "89c5f1590079a1c94c0d9a02f1061fe0f928b577abd01f928e5056d3f47011bf",
     ("fourgonal", 8, P): "a7678a8f8a5f21012a9971d34e1c47567baa12b0b6116849d1fa4bf3ff83db98",
-    ("bielliptic", 8, 7): "c338dae9517e057c10814a053db4b1508aea156968609b50bfc793bd1cc5407f",
-    ("bielliptic", 8, P): "7f77c661dcf2b2c71cb1aa006deb4471c0bc8365b9e7872d6739037ce38d1bb5",
-    ("delpezzo", 8, 7): "c155b3ddf1fc6337ad4741bb750ae6d7eeed198b4ce953cfda45c604e065d62c",
-    ("delpezzo", 8, P): "f420043a4d654c7a74524c98bd2ebfef676b5256fec12e65e955b76173ab983c",
+    ("bielliptic", 8, 7): "a81543064fe64a8c6cded8dd14f81fbc6d588212accf600627d0d952300cba1a",
+    ("bielliptic", 8, P): "e1e2602327a0bc54678e80690d621378f7a9006c96c678f6a63247aae7e5b7b3",
+    ("delpezzo", 8, 7): "cab6efba3e21fb6db0f6998907e5597b8ea86d33cd328ed5fe51a03debf5d8fa",
+    ("delpezzo", 8, P): "7491d961a8d167a4907342e806d729c1614a47878860d2d8050419110f60222b",
 }
 
 
@@ -112,11 +115,22 @@ def test_polynomial_string_formatting():
     assert polynomial_string(ring, 2, np.zeros(ring.dim(2), dtype=np.int64)) == "0"
 
 
+def _ideal_rows(ring: GradedRing, polys) -> np.ndarray:
+    """Coefficient rows, in the ring's monomial order, of parsed polynomials."""
+    rows = np.zeros((len(polys), ring.dim(2)), dtype=np.int64)
+    for row, poly in zip(rows, polys):
+        for exps, coeff in poly.items():
+            row[ring.index_of(exps)] = coeff
+    return rows
+
+
 def test_export_parse_round_trip():
     model = bielliptic_curve(7, seed=86)
     text = export_ideal_text(model)
-    prime, nvars, rows, pts = parse_ideal_text(text)
+    prime, nvars, polys, pts = oracle_parse_ideal_text(text)
     assert prime == P and nvars == 7
+    rows = _ideal_rows(GradedRing(7, P), polys)
+    assert np.array_equal(rows, model.quadrics.basis)
     assert Subspace.from_rows(rows, comb(8, 2), P) == model.quadrics
     assert pts is not None and np.array_equal(pts, model.sample_points)
     # a second export of the parsed payload is byte-identical
@@ -126,9 +140,12 @@ def test_export_parse_round_trip():
 
 def test_parse_rejects_malformed_text():
     with pytest.raises(ValueError):
-        parse_ideal_text("Z1*Z2\n")  # missing headers
+        oracle_parse_ideal_text("Z1*Z2\n")  # missing headers
     with pytest.raises(ValueError):
-        parse_ideal_text("# prime 7\n# nvars 3\nZ9^2\n")  # variable out of range
+        oracle_parse_ideal_text("# prime 7\n# nvars 3\nZ9^2\n")  # variable out of range
+    assert oracle_parse_ideal_text("# prime 7\n# nvars 3\n3*Z1*Z3 + Z2^2\n0\n") == (
+        7, 3, [{(1, 0, 1): 3, (0, 2, 0): 1}, {}], None
+    )
 
 
 def test_default_split_and_recovery():
@@ -183,14 +200,16 @@ def test_cli_construct_analyze_export(tmp_path, capsys):
     assert main(["analyze", str(model_path), "--out", str(report_path)]) == 0
     out = capsys.readouterr().out
     assert "EqualsCurve" in out
-    report = load_report(report_path)
+    report = json.loads(report_path.read_text())
     assert report["kappa21"] == 35 and report["verdict"] == "EqualsCurve"
 
     assert main([
         "export-ideal", str(model_path), "--out", str(ideal_path),
     ]) == 0
-    prime, nvars, rows, _ = parse_ideal_text(ideal_path.read_text())
-    assert nvars == 8 and len(rows) == 15
+    prime, nvars, polys, _ = oracle_parse_ideal_text(ideal_path.read_text())
+    assert nvars == 8 and len(polys) == 15
+    model = load_model(model_path)
+    assert np.array_equal(_ideal_rows(GradedRing(8, prime), polys), model.quadrics.basis)
 
 
 def test_cli_verify_theorem(tmp_path, capsys):
@@ -313,6 +332,22 @@ def _short_witness_row(data):
     data["sample_points"][0] = data["sample_points"][0][:3]
 
 
+def _listed_family(data):
+    data["family"] = ["delpezzo"]
+
+
+def _object_family(data):
+    data["family"] = {"a": 1}
+
+
+def _listed_type(data):
+    data["type"] = ["curve"]
+
+
+def _negative_genus(data):
+    data["genus"] = -3
+
+
 def _short_base_point(data):
     data["params"]["base_points"][0] = data["params"]["base_points"][0][:2]
 
@@ -370,6 +405,10 @@ def _fractional_bielliptic_coefficient(data):
         _short_fourgonal_frame,
         _flat_fourgonal_blocks,
         _fractional_bielliptic_coefficient,
+        _listed_family,
+        _object_family,
+        _listed_type,
+        _negative_genus,
     ],
 )
 def test_malformed_model_files_exit_2(tmp_path, capsys, edit):
@@ -388,10 +427,12 @@ def test_malformed_model_files_exit_2(tmp_path, capsys, edit):
 def test_cli_unreadable_model_file_exits_2(tmp_path, capsys, content):
     model_path = tmp_path / "m.json"  # not written when content is None
     if content == "surface":
-        # a valid file, but of a surface: there is no curve to analyze
-        save_model(elliptic_cone(7, seed=1), model_path)
-        with pytest.raises(ModelInconsistencyError):
-            analyze_model(load_model(model_path))
+        # a valid curve file relabelled: only curve files exist
+        data = model_to_dict(bielliptic_curve(7, seed=1))
+        data["type"] = "surface"
+        model_path.write_text(json.dumps(data))
+        with pytest.raises(ModelInconsistencyError, match="surface"):
+            load_model(model_path)
     elif content is not None:
         model_path.write_text(content)
         with pytest.raises(ModelInconsistencyError):

@@ -10,7 +10,6 @@ from syzlab import koszul, linalg
 from syzlab.errors import (
     InvalidSyzygyError,
     ModelInconsistencyError,
-    SizeLimitError,
     UnsupportedDegreeError,
 )
 from syzlab.harness import construct_model
@@ -22,26 +21,24 @@ from syzlab.koszul import (
     classify_theorem,
     expected_verdict,
     is_syzygy,
-    kappa21_expected,
-    koszul_dimension,
     linear_syzygies,
     quadrics_involved,
     syz2_span,
     syzygy_kernel,
 )
-from syzlab.linalg import DEFAULT_PRIME, Subspace
+from syzlab.linalg import DEFAULT_PRIME
 from syzlab.ring import GradedRing
 from syzlab.scroll import ScrollFrame, fourgonal_curve
 from syzlab.surfaces import bielliptic_curve, delpezzo_curve, genus5_intersection
 from oracles import oracle_syzygy_span
+from scroll_helpers import variable
 
 P = DEFAULT_PRIME
 
 
-def test_kappa21_closed_form():
-    assert [kappa21_expected(g) for g in range(5, 13)] == [
-        0, 5, 16, 35, 64, 105, 160, 231
-    ]
+def _kappa21(genus: int) -> int:
+    """kappa_2,1 of a smooth canonical curve of Clifford index 2: (g-1)(g-3)(g-5)/3."""
+    return (genus - 1) * (genus - 3) * (genus - 5) // 3
 
 
 def _genus6_model():
@@ -54,8 +51,8 @@ def test_kappa21_two_routes_agree_at_genus6():
     model = _genus6_model()
     ring = GradedRing(6, P)
     syzygies = linear_syzygies(ring, model.quadrics)
-    assert len(syzygies) == kappa21_expected(6) == 5
-    assert koszul_dimension(ring, model.quadrics, 2, 1) == 5
+    assert len(syzygies) == _kappa21(6) == 5
+    assert betti_table(ring, model.quadrics, p_max=2).value(2, 1) == 5
 
 
 def test_every_reported_syzygy_multiplies_to_zero():
@@ -64,20 +61,20 @@ def test_every_reported_syzygy_multiplies_to_zero():
     for gamma in linear_syzygies(ring, model.quadrics):
         assert is_syzygy(ring, model.quadrics, gamma)
         # re-multiply by hand: sum_v Z_v * (gamma[v] . basis) in degree 3
-        acc = ring.zero(3)
+        acc = np.zeros(ring.dim(3), dtype=np.int64)
         for v in range(6):
             quad = ring.vector(2, gamma[v] @ model.quadrics.basis % P)
-            acc = ring.vector(3, (acc.coeffs + ring.multiply(ring.variable(v), quad).coeffs) % P)
-        assert acc.is_zero()
+            acc = (acc + ring.multiply(variable(ring, v), quad).coeffs) % P
+        assert not acc.any()
 
 
 def test_koszul_corner_values_at_genus6():
     model = _genus6_model()
-    ring = GradedRing(6, P)
-    assert koszul_dimension(ring, model.quadrics, 0, 0) == 1
-    assert koszul_dimension(ring, model.quadrics, 1, 2) == 0
+    table = betti_table(GradedRing(6, P), model.quadrics)
+    assert table.value(0, 0) == 1
+    assert table.value(1, 2) == 0
     # duality partner of the top-left 1 for a genus-6 canonical curve
-    assert koszul_dimension(ring, model.quadrics, 4, 3) == 1
+    assert table.value(4, 3) == 1
 
 
 def test_syzygy_kernel_ambient_layout():
@@ -105,7 +102,7 @@ def test_span_is_inside_the_ideal_piece():
         ring = GradedRing(model.genus, P)
         report = syz2_span(ring, model.quadrics, model.surface_quadrics)
         assert model.quadrics.contains_space(report.span)
-        assert report.kappa21 == kappa21_expected(model.genus)
+        assert report.kappa21 == _kappa21(model.genus)
 
 
 def test_verdicts_per_family():
@@ -146,10 +143,6 @@ def test_span_matches_the_stacked_route(family):
 def test_unsupported_degrees_raise():
     model = _genus6_model()
     ring = GradedRing(6, P)
-    with pytest.raises(UnsupportedDegreeError):
-        koszul_dimension(ring, model.quadrics, 2, 4)
-    with pytest.raises(UnsupportedDegreeError):
-        koszul_dimension(ring, model.quadrics, 2, -1)
     with pytest.raises(UnsupportedDegreeError, match="-1"):
         betti_table(ring, model.quadrics, p_max=-1)
     with pytest.raises(UnsupportedDegreeError, match="7"):
@@ -159,8 +152,10 @@ def test_unsupported_degrees_raise():
 def test_size_budget_is_enforced():
     model = _genus6_model()
     ring = GradedRing(6, P)
-    with pytest.raises(SizeLimitError):
-        koszul_dimension(ring, model.quadrics, 2, 1, max_entries=10)
+    # kappa_0,0 needs no matrix; kappa_2,1 needs two above 10 entries
+    table = betti_table(ring, model.quadrics, p_max=2, max_entries=10)
+    assert table.truncated
+    assert table.value(0, 0) == 1 and table.value(2, 1) == -1
 
 
 def test_betti_table_genus6():
@@ -244,7 +239,7 @@ def test_betti_table_checks_duality_and_euler_characteristic(monkeypatch):
     with pytest.raises(ModelInconsistencyError, match=r"kappa_2,1 = .* dual kappa_2,2"):
         betti_table(ring, model.quadrics, expected_genus=6)
     # without a genus to check against, the grid comes back as computed
-    assert betti_table(ring, model.quadrics).value(2, 1) == kappa21_expected(6) + 1
+    assert betti_table(ring, model.quadrics).value(2, 1) == _kappa21(6) + 1
 
 
 def test_betti_table_rejects_wrong_hilbert_function():
@@ -279,7 +274,7 @@ def test_classify_theorem_records():
     assert rec.passed
     assert rec.verdict == rec.expected_verdict == VERDICT_SURFACE
     assert rec.surface_match is True
-    assert rec.kappa21 == kappa21_expected(9)
+    assert rec.kappa21 == _kappa21(9)
     assert rec.dim_span == comb(7, 2) - 1
 
     rec = classify_theorem(fourgonal_curve(ScrollFrame((1, 1, 1)), 1, 0, seed=75))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_projective_classes
-from scroll_helpers import rolling_syzygy, scroll_points, top_row_forms
+from scroll_helpers import fourgonal_sections, rolling_syzygy, scroll_points, top_row_forms
 
 from syzlab.errors import (
     DegenerateScrollError,
@@ -23,7 +23,6 @@ from syzlab.scroll import (
     binary_monomial,
     fourgonal_curve,
     fourgonal_point_sample,
-    fourgonal_sections,
     lift_section,
     random_section,
     restrict_quadrics,
@@ -173,14 +172,14 @@ def test_lift_evaluates_like_the_section_on_scroll_points():
             dtype=np.int64,
         )
         on_fibre = np.array(x) @ _conic_matrix(sec, (s, t), P) % P @ np.array(x) % P
-        assert int(ring.evaluate(quad, pt)[0]) == on_fibre
+        assert int(ring.evaluate_monomials(2, pt)[0] @ quad.coeffs % P) == on_fibre
 
 
 # -- rolling factors ----------------------------------------------------------
 
 
 def test_rolling_syzygy_is_a_syzygy_involving_both_quadrics():
-    from syzlab.koszul import is_syzygy, quadrics_involved, syzygy_coordinates
+    from syzlab.koszul import is_syzygy, quadrics_involved
 
     frame = ScrollFrame((2, 2, 2))
     g = frame.genus
@@ -198,7 +197,9 @@ def test_rolling_syzygy_is_a_syzygy_involving_both_quadrics():
     full = scroll_minors(frame, ring).sum(
         Subspace.from_rows(np.vstack([q1, q2]), ring.dim(2), P)
     )
-    coords = syzygy_coordinates(full, gamma_rows)
+    # every row lies in full, so its pivot entries are its coordinates
+    coords = gamma_rows[:, list(full.pivot_cols)]
+    assert np.array_equal(coords @ full.basis % P, gamma_rows)
     assert is_syzygy(ring, full, coords)
     span = quadrics_involved(ring, full, coords)
     assert span.dim >= 2

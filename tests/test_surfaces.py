@@ -5,27 +5,23 @@ from math import comb
 import numpy as np
 import pytest
 
-from oracles import oracle_eval_quadric, oracle_projective_classes
+from oracles import oracle_eval_quadric, oracle_projective_classes, oracle_weierstrass_points
 
+from syzlab.gfpoly import legendre
 from syzlab.harness import construct_model
 from syzlab.koszul import classify_theorem
-from syzlab.linalg import DEFAULT_PRIME
-from syzlab.models import VERONESE
+from syzlab.linalg import DEFAULT_PRIME, kernel_basis
+from syzlab.models import DELPEZZO, VERONESE
 from syzlab.ring import GradedRing
 from syzlab.surfaces import (
-    KIND_DELPEZZO,
-    KIND_ELLIPTIC_CONE,
-    KIND_VERONESE,
     WeierstrassCurve,
+    _points_over,
     bielliptic_curve,
     delpezzo_curve,
-    delpezzo_surface,
-    elliptic_cone,
     elliptic_normal_ideal,
     embed_points,
     genus5_intersection,
     pole_order_basis,
-    weierstrass_points,
 )
 
 P = DEFAULT_PRIME
@@ -42,15 +38,17 @@ def test_weierstrass_rejects_singular_cubics():
 
 
 def test_weierstrass_points_satisfy_the_equation():
+    # the points over x that bielliptic witnesses rule through: two when
+    # x^3 + a4*x + a6 is a nonzero square, one when it is zero, else none
     rng = np.random.default_rng(50)
-    curve = WeierstrassCurve.random(P, rng)
-    pts = weierstrass_points(curve, 40, rng)
-    assert pts.shape == (40, 2)
-    assert len({tuple(q) for q in pts.tolist()}) == 40
-    x, y = pts[:, 0], pts[:, 1]
-    lhs = y * y % P
-    rhs = (pow(x, 3) + curve.a4 * x + curve.a6) % P
-    assert np.array_equal(lhs % P, rhs)
+    for p in (7, 101, P):
+        curve = WeierstrassCurve.random(p, rng)
+        for x in [int(v) for v in rng.integers(0, p, size=40)] + list(range(min(p, 20))):
+            rhs = (x**3 + curve.a4 * x + curve.a6) % p
+            pts = _points_over(curve, x)
+            assert len(pts) == {0: 1, 1: 2}.get(legendre(rhs, p), 0)
+            assert len(set(pts)) == len(pts)
+            assert all(px == x and y * y % p == rhs for px, y in pts)
 
 
 def test_pole_order_basis_counts():
@@ -63,12 +61,11 @@ def test_pole_order_basis_counts():
 
 
 def test_embed_points_monomial_consistency():
-    rng = np.random.default_rng(51)
-    curve = WeierstrassCurve.random(P, rng)
-    affine = weierstrass_points(curve, 5, rng)
-    emb = embed_points(curve, 6, affine)
+    curve = WeierstrassCurve.random(P, np.random.default_rng(51))
+    affine = oracle_weierstrass_points(curve.a4, curve.a6, P, 5, seed=51)
+    emb = embed_points(curve, 6, np.array(affine, dtype=np.int64))
     basis = pole_order_basis(6)
-    for row, (x, y) in zip(emb, affine.tolist()):
+    for row, (x, y) in zip(emb, affine):
         for col, (i, j) in enumerate(basis):
             assert int(row[col]) == pow(x, i, P) * pow(y, j, P) % P
 
@@ -77,32 +74,34 @@ def test_elliptic_normal_ideal_dimensions():
     rng = np.random.default_rng(53)
     curve = WeierstrassCurve.random(P, rng)
     for n in (4, 5, 6, 8):
-        quadrics, pts = elliptic_normal_ideal(n, curve, seed=53 + n)
+        quadrics = elliptic_normal_ideal(n, curve)
         assert quadrics.dim == n * (n - 3) // 2
+        affine = oracle_weierstrass_points(curve.a4, curve.a6, P, 24, seed=53 + n)
+        pts = embed_points(curve, n, np.array(affine, dtype=np.int64))
         ring = GradedRing(n, P)
         vals = ring.evaluate_monomials(2, pts) @ quadrics.basis.T % P
         assert not vals.any()
     with pytest.raises(ValueError):
-        elliptic_normal_ideal(2, curve, seed=0)
+        elliptic_normal_ideal(2, curve)
 
 
 def test_elliptic_cone_shape():
     for g in (7, 9, 11):
-        surface = elliptic_cone(g, seed=54)
-        assert surface.kind == KIND_ELLIPTIC_CONE
-        assert surface.quadrics.dim == comb(g - 2, 2) - 1
-        assert surface.quadrics.ambient_dim == comb(g + 1, 2)
+        model = bielliptic_curve(g, seed=54)
+        cone = model.surface_quadrics
+        assert cone.dim == comb(g - 2, 2) - 1
+        assert cone.ambient_dim == comb(g + 1, 2)
         ring = GradedRing(g, P)
-        # the vertex (1:0:...:0) lies on the cone, so no quadric sees Z1^2
-        vertex_sq = ring.index_of([2] + [0] * (g - 1))
-        assert not surface.quadrics.basis[:, vertex_sq].any()
-        vertex = np.zeros(g, dtype=np.int64)
-        vertex[0] = 1
-        vals = ring.evaluate_monomials(2, vertex[None, :]) @ surface.quadrics.basis.T % P
-        assert not vals.any()
-        # ruling closure: points on the lines joining vertex to the base curve
-        assert surface.sample_points is not None
-        vals = ring.evaluate_monomials(2, surface.sample_points) @ surface.quadrics.basis.T % P
+        # the vertex (1:0:...:0) lies on the cone, so no cone quadric involves
+        # Z1 at all: they are the elliptic normal curve's quadrics in Z2..Zg
+        assert not cone.basis[:, ring.exponents(2)[:, 0] > 0].any()
+        curve = WeierstrassCurve(model.params["a4"], model.params["a6"], P)
+        affine = oracle_weierstrass_points(curve.a4, curve.a6, P, 8, seed=54 + g)
+        base = embed_points(curve, g - 1, np.array(affine, dtype=np.int64))
+        # ruling closure: points on the lines joining the vertex to E
+        lam = np.arange(1, len(base) + 1, dtype=np.int64)[:, None]
+        ruled = np.hstack([lam, base])
+        vals = ring.evaluate_monomials(2, ruled) @ cone.basis.T % P
         assert not vals.any()
 
 
@@ -132,26 +131,32 @@ def test_bielliptic_curve_shape():
             ) == 0
 
 
-def test_bielliptic_accepts_explicit_curve():
-    curve = WeierstrassCurve(1, 1, P)
-    model = bielliptic_curve(8, seed=56, curve=curve)
-    assert model.params["a4"] == 1 and model.params["a6"] == 1
-    assert model.quadrics.dim == comb(6, 2)
-
-
 DELPEZZO_QUADRIC_DIMS = {6: 5, 7: 9, 8: 14, 9: 20, 10: 27}
+
+
+def _plane_images(base_points, count: int, seed) -> np.ndarray:
+    """Images of random affine plane points under the cubics through the
+    base points, in the canonical basis order of those cubics."""
+    ring3 = GradedRing(3, P)
+    base = np.array(base_points, dtype=np.int64).reshape(-1, 3)
+    cubics = kernel_basis(ring3.evaluate_monomials(3, base), P)
+    rng = np.random.default_rng(seed)
+    plane = np.hstack([rng.integers(0, P, size=(count, 2)), np.ones((count, 1), dtype=np.int64)])
+    return ring3.evaluate_monomials(3, plane) @ cubics.basis.T % P
 
 
 def test_delpezzo_surface_dimensions_and_kind():
     for g, want in DELPEZZO_QUADRIC_DIMS.items():
-        surface = delpezzo_surface(g, seed=57)
-        assert surface.quadrics.dim == want == comb(g - 2, 2) - 1
-        assert surface.kind == (KIND_VERONESE if g == 10 else KIND_DELPEZZO)
-        ring = GradedRing(g, P)
-        vals = ring.evaluate_monomials(2, surface.sample_points) @ surface.quadrics.basis.T % P
+        model = delpezzo_curve(g, seed=57)
+        surface = model.surface_quadrics
+        assert surface.dim == want == comb(g - 2, 2) - 1
+        assert model.family == (VERONESE if g == 10 else DELPEZZO)
+        assert len(model.params["base_points"]) == 10 - g
+        images = _plane_images(model.params["base_points"], 2 * g, seed=57 + g)
+        vals = GradedRing(g, P).evaluate_monomials(2, images) @ surface.basis.T % P
         assert not vals.any()
     with pytest.raises(ValueError):
-        delpezzo_surface(11, seed=57)
+        delpezzo_curve(11, seed=57)
 
 
 def test_delpezzo_curve_shape():
@@ -169,11 +174,13 @@ def test_delpezzo_curve_shape():
 
 
 def test_delpezzo_curve_and_surface_share_the_surface():
-    # same seed => same base points => identical surface quadrics
+    # the stored base points pin the surface: the quadrics through enough of
+    # its points are exactly the stored surface quadrics
     model = delpezzo_curve(8, seed=59)
-    surface = delpezzo_surface(8, seed=59)
-    assert model.surface_quadrics == surface.quadrics
-    assert model.params["base_points"] == surface.params["base_points"]
+    ring = GradedRing(8, P)
+    images = _plane_images(model.params["base_points"], 3 * ring.dim(2), seed=59)
+    assert kernel_basis(ring.evaluate_monomials(2, images), P) == model.surface_quadrics
+    assert delpezzo_curve(8, seed=59).params == model.params
 
 
 def test_genus5_intersection_shape():
