@@ -63,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--genus", type=int, default=None)
     c.add_argument("--frame", type=_parse_frame, default=None,
                    help="scroll degrees k1,k2,k3 (4-gonal only)")
-    c.add_argument("--a", type=int, default=None, help="first quadric twist")
-    c.add_argument("--b", type=int, default=None, help="second quadric twist")
+    c.add_argument("--a", type=int, default=None, help="first quadric twist (4-gonal only)")
+    c.add_argument("--b", type=int, default=None, help="second quadric twist (4-gonal only)")
     c.add_argument("--prime", type=int, default=None)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default="model.json")

@@ -55,6 +55,11 @@ def construct_model(
         raise ValueError(
             f"unknown family {family!r}; choose one of {sorted(CURVE_FAMILIES)}"
         )
+    given = [name for name, v in (("frame", frame), ("a", a), ("b", b)) if v is not None]
+    if family != FOURGONAL and given:
+        raise ValueError(
+            f"only the fourgonal family takes a frame or twists; {family} got {', '.join(given)}"
+        )
     if family == GENUS5:
         if genus not in (None, 5):
             raise ValueError("the complete-intersection family is genus 5 only")
@@ -71,6 +76,8 @@ def construct_model(
         return bielliptic_curve(genus, seed, prime=p)
     # fourgonal
     sf = ScrollFrame.balanced(genus) if frame is None else ScrollFrame(tuple(frame))
+    if sf.genus != genus:
+        raise ValueError(f"frame {sf.k} is a genus-{sf.genus} scroll, not genus {genus}")
     if a is None and b is None:
         a, b = default_split(genus)
     elif a is None or b is None:

@@ -4,7 +4,8 @@ Files are deterministic: the same model serializes to the same bytes, and
 the model digest is a sha256 over the canonical JSON encoding.  Timings
 never enter digests so reruns of identical analyses stay comparable.
 Model files hold curves only (``"type": "curve"``); loading checks every
-field and refuses anything else with ModelInconsistencyError.
+field, refuses any top-level key that saving never writes, and raises
+ModelInconsistencyError on anything else.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ from .models import BIELLIPTIC, CURVE_FAMILIES, DELPEZZO, FOURGONAL, VERONESE, C
 from .ring import GradedRing
 
 FORMAT_VERSION = 1
+
+# the top-level keys model_to_dict writes; a model file holds no others
+_FILE_KEYS = frozenset(
+    ("format_version", "type", "family", "genus", "prime", "seed", "quadrics", "params",
+     "surface_quadrics")
+)
 
 PathLike = Union[str, Path]
 
@@ -93,11 +100,6 @@ def model_to_dict(model: CurveModel) -> dict:
         "prime": model.prime,
         "seed": model.seed,
         "quadrics": _subspace_payload(model.quadrics),
-        "sample_points": (
-            None
-            if model.sample_points is None
-            else [[int(x) for x in row] for row in model.sample_points]
-        ),
         "params": model.params,
         "surface_quadrics": _subspace_payload(model.surface_quadrics),
     }
@@ -125,6 +127,11 @@ def model_from_dict(data: dict) -> CurveModel:
         )
     if data.get("type") != "curve":
         raise ModelInconsistencyError(f"model type {data.get('type')!r} is not 'curve'")
+    unknown = sorted(set(data) - _FILE_KEYS)
+    if unknown:
+        raise ModelInconsistencyError(
+            f"model file has unknown top-level key(s) {', '.join(map(repr, unknown))}"
+        )
     _require(data, ("genus", "prime", "seed", "quadrics", "family"), "model file")
     family = data["family"]
     if family not in CURVE_FAMILIES:
@@ -142,9 +149,6 @@ def model_from_dict(data: dict) -> CurveModel:
     quadrics = _subspace_from_payload(data["quadrics"], prime, ambient_dim)
     if quadrics is None:
         raise ModelInconsistencyError("model file has no quadric space")
-    pts = data.get("sample_points")
-    if pts is not None:
-        pts = _witness_points(_int64_array(pts, "sample points", genus), quadrics, genus)
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ModelInconsistencyError(f"params must be a JSON object, got {type(params).__name__}")
@@ -170,24 +174,8 @@ def model_from_dict(data: dict) -> CurveModel:
         seed=data["seed"],
         quadrics=quadrics,
         surface_quadrics=surface,
-        sample_points=pts,
         params=params,
     )
-
-
-def _witness_points(pts: np.ndarray, quadrics: Subspace, genus: int) -> np.ndarray:
-    """The stored witness points, checked to vanish on every quadric."""
-    if pts.ndim != 2 or pts.shape[1] != genus:
-        raise ModelInconsistencyError(
-            f"sample points have shape {pts.shape}, expected rows of length {genus}"
-        )
-    values = GradedRing(genus, quadrics.prime).evaluate_monomials(2, pts) @ quadrics.basis.T
-    off = np.flatnonzero((values % quadrics.prime).any(axis=1))
-    if off.size:
-        raise ModelInconsistencyError(
-            f"{off.size} of {len(pts)} sample points lie off the quadrics, first row {off[0]}"
-        )
-    return pts
 
 
 def canonical_json(data: dict) -> str:
@@ -244,12 +232,9 @@ def polynomial_string(ring: GradedRing, degree: int, coeffs: np.ndarray) -> str:
 
 def export_ideal_text(model: CurveModel) -> str:
     """Generators of I_2 as one polynomial per line, after comment headers
-    with the prime, the variable count and the witness points."""
+    with the prime and the variable count."""
     ring = GradedRing(model.genus, model.prime)
     lines = [f"# prime {model.prime}", f"# nvars {model.genus}"]
-    if model.sample_points is not None:
-        for row in model.sample_points:
-            lines.append("# point " + " ".join(str(int(x)) for x in row))
     for row in model.quadrics.basis:
         lines.append(polynomial_string(ring, 2, row))
     return "\n".join(lines) + "\n"

@@ -237,9 +237,6 @@ class BettiTable:
     entries: np.ndarray
     truncated: bool = False
 
-    def value(self, p_idx: int, q_idx: int) -> int:
-        return int(self.entries[q_idx, p_idx])
-
 
 def betti_table(
     ring: GradedRing,

@@ -164,12 +164,6 @@ class Subspace:
         basis.setflags(write=False)
         return cls(ambient_dim, prime, basis, ())
 
-    @classmethod
-    def full(cls, ambient_dim: int, prime: int) -> "Subspace":
-        basis = np.eye(ambient_dim, dtype=np.int64)
-        basis.setflags(write=False)
-        return cls(ambient_dim, prime, basis, tuple(range(ambient_dim)))
-
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
@@ -209,8 +203,6 @@ class Subspace:
 
     def complement(self) -> "Subspace":
         """Annihilator under the standard dot product."""
-        if self.dim == 0:
-            return Subspace.full(self.ambient_dim, self.prime)
         return kernel_basis(self.basis, self.prime)
 
     def __eq__(self, other) -> bool:

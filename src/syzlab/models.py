@@ -2,17 +2,14 @@
 
 A model stores exactly what analysis needs: the quadric ideal piece of the
 curve, optionally the quadrics of the surface it is expected to sweep out,
-and best-effort witness points (possibly None; at most 24 projectively
-distinct ones found under one draw budget) for cheap vanishing
-spot-checks; loading a model file checks that they vanish.
+and the construction parameters.  It holds no points: every verdict, kappa
+value and span is a statement about quadrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Optional
-
-import numpy as np
 
 from .linalg import Subspace
 
@@ -40,7 +37,6 @@ class CurveModel:
     seed: int
     quadrics: Subspace
     surface_quadrics: Optional[Subspace] = None
-    sample_points: Optional[np.ndarray] = None
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

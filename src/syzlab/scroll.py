@@ -31,12 +31,10 @@ from .errors import (
     GenericityExhaustedError,
     ModelInconsistencyError,
 )
-from .gfpoly import _collect_points, _quadric_points, _restrict_quadric
 from .linalg import (
     DEFAULT_PRIME,
     Subspace,
     check_prime,
-    inverse_mod,
     rank,
 )
 from .models import FOURGONAL, CurveModel
@@ -370,112 +368,6 @@ def scrollar_bidegrees(frame: ScrollFrame, restricted: Subspace) -> tuple[int, i
     return lam0, g - 5 - lam0
 
 
-# -- point sampling -----------------------------------------------------------
-
-
-def _embed_point(frame: ScrollFrame, st, x, p: int) -> np.ndarray:
-    s, t = int(st[0]) % p, int(st[1]) % p
-    pt = np.zeros(frame.num_vars, dtype=np.int64)
-    for i in range(3):
-        for a in range(frame.k[i] + 1):
-            val = int(x[i]) % p * pow(s, a, p) % p * pow(t, frame.k[i] - a, p) % p
-            pt[frame.var_index(i, a)] = val
-    return pt
-
-
-def _conic_matrix(sec: Section2H, st, p: int) -> np.ndarray:
-    """Upper-triangular 3x3 matrix of the fibre conic of a section at (s:t).
-
-    Entry (i, j) is the binary form of pair (i, j) at (s:t),
-    sum_alpha block[alpha] s^alpha t^(deg - alpha).
-    """
-    s, t = int(st[0]) % p, int(st[1]) % p
-    mat = np.zeros((3, 3), dtype=np.int64)
-    for n, (i, j) in enumerate(PAIRS):
-        deg = len(sec.blocks[n]) - 1
-        mat[i, j] = sum(
-            int(c) * pow(s, a, p) * pow(t, deg - a, p) for a, c in enumerate(sec.blocks[n])
-        ) % p
-    return mat
-
-
-def _conic_point(mat: np.ndarray, p: int, rng: np.random.Generator) -> np.ndarray | None:
-    """A GF(p)-point of the conic in P^2, or None.
-
-    Solves along the line through a random point in one coordinate
-    direction; the direction rotates across attempts so conics missing a
-    variable (rank <= 2 fibre conics of highly twisted sections) are still hit.
-    """
-    for attempt in range(90):
-        axis = attempt % 3
-        y, z = int(rng.integers(0, p)), int(rng.integers(0, p))
-        if y == 0 and z == 0:
-            continue
-        # the line (y, z) + u * e_axis, with (y, z) in the other two slots
-        line = np.zeros((3, 2), dtype=np.int64)
-        line[[i for i in range(3) if i != axis], 0] = y, z
-        line[axis, 1] = 1
-        on_conic = _quadric_points(mat, line, p, rng)
-        if len(on_conic):
-            return on_conic[0]
-    return None
-
-
-def _conic_fibre_points(
-    m1: np.ndarray, m2: np.ndarray, p: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Common zeros of two conics in P^2 (possibly empty, possibly repeated),
-    each scaled to leading entry 1."""
-    base = _conic_point(m1, p, rng)
-    if base is None:
-        return []
-    # pencil of lines through base, direction d(u) = d0 + u*d1: the residual
-    # point m1(d(u)) * base - B1(base, d(u)) * d(u) on conic 1, with B1 the
-    # polar form, is quadratic in u; its u^2 column is the u = infinity point
-    pivot = int(np.nonzero(base)[0][0])
-    dirs = np.eye(3, dtype=np.int64)[:, [i for i in range(3) if i != pivot]]
-    polar = base @ ((m1 + m1.T) @ dirs % p) % p
-    pencil = np.outer(base, _restrict_quadric(m1, dirs, p)) % p
-    pencil[:, :2] -= dirs * polar[0]
-    pencil[:, 1:] -= dirs * polar[1]
-    pencil %= p
-    cands = np.vstack([base, _quadric_points(m2, pencil, p, rng), pencil[:, 2]])
-
-    def on_conic(m: np.ndarray) -> np.ndarray:
-        return ((cands @ m % p) * cands).sum(axis=1) % p == 0
-
-    found = cands[cands.any(axis=1) & on_conic(m1) & on_conic(m2)]
-    return [pt * inverse_mod(int(pt[np.flatnonzero(pt)[0]]), p) % p for pt in found]
-
-
-def fourgonal_point_sample(
-    frame: ScrollFrame,
-    q1: Section2H,
-    q2: Section2H,
-    count: int,
-    prime: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Projectively distinct points of the curve cut by q1, q2 on the
-    scroll, one random fibre per draw.
-
-    May return fewer than count points (even none): over GF(p) a curve
-    whose fibre conic is a fixed irreducible binary form meets almost
-    every rational fibre in conjugate, irrational point pairs.
-    """
-    p = check_prime(prime)
-
-    def draw() -> np.ndarray:
-        s, t = int(rng.integers(0, p)), int(rng.integers(0, p))
-        m1 = _conic_matrix(q1, (s, t), p)
-        m2 = _conic_matrix(q2, (s, t), p)
-        fibre = _conic_fibre_points(m1, m2, p, rng) if (s or t) and m1.any() and m2.any() else []
-        pts = [_embed_point(frame, (s, t), x, p) for x in fibre]
-        return np.array(pts, dtype=np.int64).reshape(-1, frame.genus)
-
-    return _collect_points(draw, count, p)
-
-
 # -- the 4-gonal curve constructor -------------------------------------------
 
 
@@ -540,7 +432,6 @@ def fourgonal_curve(
         big = side_a if a >= b else side_b
         surf_rows = np.vstack([minors.basis, np.array([lift_section(ring, s).coeffs for s in big])])
         surface = Subspace.from_rows(surf_rows, ring.dim(2), p)
-    points = fourgonal_point_sample(frame, q1, q2, 24, p, rng)
     return CurveModel(
         family=FOURGONAL,
         genus=g,
@@ -548,7 +439,6 @@ def fourgonal_curve(
         seed=int(seed),
         quadrics=quadrics,
         surface_quadrics=surface,
-        sample_points=points if len(points) else None,
         params={
             "frame": list(frame.k),
             "a": int(a),

@@ -6,9 +6,7 @@ and the cubic Veronese at g = 10.  A surface enters a model only through
 its quadrics, stored as ``CurveModel.surface_quadrics``: the exact kernel
 I_2 = ker(Sym^2 H^0(L) -> H^0(L^2)) of multiplying the coordinate
 functions pairwise, which is all of I_2 because these embeddings are
-projectively normal.  Witness points are best effort: a curve model
-stores up to 24 projectively distinct GF(p)-points of the curve, gathered
-under one draw budget, or None when none turns up.
+projectively normal.  No construction samples points of the curve.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GenericityExhaustedError, ModelInconsistencyError
-from .gfpoly import _collect_points, _quadric_points, sqrt_mod
 from .linalg import (
     DEFAULT_PRIME,
     Subspace,
@@ -67,15 +64,6 @@ class WeierstrassCurve:
         raise GenericityExhaustedError("could not draw a nonsingular cubic")
 
 
-def _points_over(curve: WeierstrassCurve, x: int) -> list[tuple[int, int]]:
-    """The affine points (x, y), (x, -y) of the curve over x: none, one or two."""
-    p = curve.prime
-    y = sqrt_mod(pow(x, 3, p) + curve.a4 * x + curve.a6, p)
-    if y is None:
-        return []
-    return [(x, y)] if y == 0 else [(x, y), (x, p - y)]
-
-
 def pole_order_basis(n: int) -> list[tuple[int, int]]:
     """Exponents (i, j) of the functions x^i y^j with pole order 2i+3j <= n.
 
@@ -88,22 +76,6 @@ def pole_order_basis(n: int) -> list[tuple[int, int]]:
     basis += [(j, 1) for j in range((n - 3) // 2 + 1)]
     basis.sort(key=lambda e: 2 * e[0] + 3 * e[1])
     return basis
-
-
-def embed_points(curve: WeierstrassCurve, n: int, affine_pts: np.ndarray) -> np.ndarray:
-    """Images of affine curve points under the degree-n embedding."""
-    p = curve.prime
-    out = np.empty((len(affine_pts), n), dtype=np.int64)
-    for col, (i, j) in enumerate(pole_order_basis(n)):
-        x = affine_pts[:, 0]
-        y = affine_pts[:, 1]
-        val = np.ones(len(affine_pts), dtype=np.int64)
-        for _ in range(i):
-            val = val * x % p
-        if j:
-            val = val * y % p
-        out[:, col] = val
-    return out
 
 
 def _quadric_kernel(
@@ -195,7 +167,6 @@ def bielliptic_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> Curve
         raise ModelInconsistencyError(
             f"bielliptic ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2)}"
         )
-    points = _bielliptic_points(curve, quad, ring, 24, rng)
     return CurveModel(
         family=BIELLIPTIC,
         genus=genus,
@@ -203,34 +174,8 @@ def bielliptic_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> Curve
         seed=int(seed),
         quadrics=quadrics,
         surface_quadrics=surface,
-        sample_points=points if len(points) else None,
         params={"a4": curve.a4, "a6": curve.a6},
     )
-
-
-def _bielliptic_points(
-    curve: WeierstrassCurve,
-    quad: np.ndarray,
-    ring: GradedRing,
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Points of S cap {Q = 0}, S the cone over E: the roots of Q along the
-    rulings base + u * vertex through the points (x, +-y) of E over one
-    random x per draw.
-    """
-    p, g = ring.prime, ring.num_vars
-    form = np.triu(quad[ring.product_table(1, 1)])
-    vertex = np.eye(g, 1, dtype=np.int64)[:, 0]
-
-    def draw() -> np.ndarray:
-        over = np.array(_points_over(curve, int(rng.integers(0, p))), dtype=np.int64)
-        bases = np.zeros((len(over), g), dtype=np.int64)
-        bases[:, 1:] = embed_points(curve, g - 1, over.reshape(-1, 2))
-        found = [_quadric_points(form, np.column_stack([b, vertex]), p, rng) for b in bases]
-        return np.vstack([np.zeros((0, g), dtype=np.int64), *found])
-
-    return _collect_points(draw, count, p)
 
 
 # -- Del Pezzo and Veronese surfaces ------------------------------------------
@@ -247,9 +192,9 @@ def _plane_cubic_basis(
 
 def _delpezzo_surface_rng(
     genus: int, prime: int, rng: np.random.Generator
-) -> tuple[Subspace, Subspace, np.ndarray]:
-    """(quadrics, cubics, base points) of the image of the plane under the
-    cubics through 10-g general base points.
+) -> tuple[Subspace, np.ndarray]:
+    """(quadrics, base points) of the image of the plane under the cubics
+    through 10-g general base points.
 
     Degree g-1 in P^{g-1}: an honest Del Pezzo for g in 6..9 and the cubic
     Veronese embedding of the whole plane at g = 10.  The cubic basis is the
@@ -285,14 +230,14 @@ def _delpezzo_surface_rng(
         raise ModelInconsistencyError(
             f"surface ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2) - 1}"
         )
-    return quadrics, cubics, base
+    return quadrics, base
 
 
 def delpezzo_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveModel:
     """Canonical curve cut on a plane-cubic surface by one extra quadric."""
     p = check_prime(prime)
     rng = np.random.default_rng(seed)
-    surface, cubics, base = _delpezzo_surface_rng(genus, p, rng)
+    surface, base = _delpezzo_surface_rng(genus, p, rng)
     ring_g = GradedRing(genus, p)
     for _ in range(MAX_REDRAWS):
         quad = rng.integers(0, p, size=ring_g.dim(2), dtype=np.int64)
@@ -305,7 +250,6 @@ def delpezzo_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveMo
         raise ModelInconsistencyError(
             f"curve ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2)}"
         )
-    points = _delpezzo_curve_points(cubics, quad, ring_g, 24, rng)
     family = VERONESE if genus == 10 else DELPEZZO
     return CurveModel(
         family=family,
@@ -314,36 +258,8 @@ def delpezzo_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveMo
         seed=int(seed),
         quadrics=quadrics,
         surface_quadrics=surface,
-        sample_points=points if len(points) else None,
         params={"base_points": [[int(c) for c in row] for row in base]},
     )
-
-
-def _delpezzo_curve_points(
-    cubics: Subspace,
-    quad: np.ndarray,
-    ring_g: GradedRing,
-    count: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Points of S cap {Q = 0} by solving along pencils of plane lines.
-
-    Restricting Q to the image under ``cubics`` of the line {x = u}, one
-    random u per draw, gives a degree-6 polynomial in the remaining
-    coordinate; its GF(p) roots map to points of the curve.
-    """
-    p = ring_g.prime
-    form = np.triu(quad[ring_g.product_table(1, 1)])
-    alpha, beta, _ = GradedRing(3, p).exponents(3).T
-
-    def draw() -> np.ndarray:
-        u = int(rng.integers(0, p))
-        # monomial x^alpha y^beta z^gamma at (u, v, 1) is u^alpha * v^beta
-        on_line = np.zeros((len(alpha), 4), dtype=np.int64)
-        on_line[np.arange(len(alpha)), beta] = [pow(u, int(a), p) for a in alpha]
-        return _quadric_points(form, cubics.basis @ on_line % p, p, rng)
-
-    return _collect_points(draw, count, p)
 
 
 # -- genus 5 ------------------------------------------------------------------
@@ -365,7 +281,6 @@ def genus5_intersection(seed: int, prime: int = DEFAULT_PRIME) -> CurveModel:
                 seed=int(seed),
                 quadrics=quadrics,
                 surface_quadrics=None,
-                sample_points=None,
                 params={},
             )
     raise GenericityExhaustedError("three random quadrics were dependent repeatedly")

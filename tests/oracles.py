@@ -3,11 +3,13 @@
 Deliberately naive and numpy-free so a bug in the vectorized library path
 cannot hide in shared code: plain list-of-list Gaussian elimination over
 GF(p), a brute-force polynomial evaluator, a sampler of elliptic-curve
-points and a parser of the exported ideal text.
+points, brute-force enumerations of the GF(p)-points of every curve family
+and a parser of the exported ideal text.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 
@@ -68,57 +70,17 @@ def oracle_eval_quadric(coeffs, exponents, point, p: int) -> int:
     return total
 
 
-def oracle_projective_classes(points, p: int) -> set[tuple[int, ...]]:
-    """Distinct points of P^n among the nonzero rows: each row scaled so
-    that its first nonzero entry is 1."""
-    classes = set()
-    for row in points:
-        row = [int(x) % p for x in row]
-        lead = next((x for x in row if x), 0)
-        if lead:
-            inv = pow(lead, p - 2, p)
-            classes.add(tuple(x * inv % p for x in row))
-    return classes
-
-
-def oracle_pmul(f: list[int], g: list[int], p: int) -> list[int]:
-    """Product of two ascending coefficient lists, trailing zeros trimmed."""
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    while out and out[-1] == 0:
-        out.pop()
+def oracle_zeros(rows, exponents, points, p: int) -> list:
+    """The points at which every form (coefficient rows over the exponent
+    tuples) vanishes, in the order given."""
+    terms = [[(v, int(e)) for v, e in enumerate(expo) if e] for expo in exponents]
+    rows = [[int(c) % p for c in row] for row in rows]
+    out = []
+    for pt in points:
+        values = [math.prod(pow(int(pt[v]), e, p) for v, e in term) % p for term in terms]
+        if all(sum(c * x for c, x in zip(row, values)) % p == 0 for row in rows):
+            out.append(pt)
     return out
-
-
-def oracle_pmod(f: list[int], g: list[int], p: int) -> list[int]:
-    """Remainder of f modulo g (g with a nonzero leading coefficient)."""
-    r = [c % p for c in f]
-    inv = pow(g[-1], p - 2, p)
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(g):
-            return r
-        c, shift = r[-1] * inv % p, len(r) - len(g)
-        for i, b in enumerate(g):
-            r[i + shift] = (r[i + shift] - c * b) % p
-
-
-def oracle_ppow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """base**e modulo mod by square-and-multiply on coefficient lists."""
-    result = [1]
-    acc = oracle_pmod(base, mod, p)
-    while e:
-        if e & 1:
-            result = oracle_pmod(oracle_pmul(result, acc, p), mod, p)
-        acc = oracle_pmod(oracle_pmul(acc, acc, p), mod, p)
-        e >>= 1
-    return result
 
 
 def oracle_syzygy_span(kernel_rows, quadric_rows, p: int) -> list[list[int]]:
@@ -157,13 +119,11 @@ def oracle_weierstrass_points(a4: int, a6: int, p: int, count: int, seed) -> lis
 
 
 def oracle_parse_ideal_text(text: str):
-    """Inverse of syzlab.io.export_ideal_text: (prime, nvars, polynomials,
-    points).  Each polynomial is a dict from exponent tuples to nonzero
-    coefficients mod prime; points is a list of integer rows, or None when
-    the text holds none.  Raises ValueError on text the exporter never
-    writes: missing headers or an unknown variable."""
+    """Inverse of syzlab.io.export_ideal_text: (prime, nvars, polynomials).
+    Each polynomial is a dict from exponent tuples to nonzero coefficients
+    mod prime.  Raises ValueError on text the exporter never writes: a
+    missing or unknown header, or an unknown variable."""
     prime = nvars = None
-    points: list[list[int]] = []
     lines: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -176,8 +136,8 @@ def oracle_parse_ideal_text(text: str):
             prime = int(values[0])
         elif key == "nvars":
             nvars = int(values[0])
-        elif key == "point":
-            points.append([int(x) for x in values])
+        else:
+            raise ValueError(f"unknown header {line!r}")
     if prime is None or nvars is None:
         raise ValueError("missing '# prime' or '# nvars' header")
     polys = []
@@ -187,7 +147,7 @@ def oracle_parse_ideal_text(text: str):
             coeff, exps = _oracle_term(term, nvars)
             poly[exps] = (poly.get(exps, 0) + coeff) % prime
         polys.append({e: c for e, c in poly.items() if c})
-    return prime, nvars, polys, points or None
+    return prime, nvars, polys
 
 
 def _oracle_term(term: str, nvars: int) -> tuple[int, tuple[int, ...]]:
@@ -202,3 +162,112 @@ def _oracle_term(term: str, nvars: int) -> tuple[int, tuple[int, ...]]:
             raise ValueError(f"unrecognized variable in {factor!r}")
         exps[var - 1] += int(power or 1)
     return coeff, tuple(exps)
+
+
+# -- brute-force points of the curve families ---------------------------------
+#
+# Each enumeration runs over every GF(p)-point of a parameter space, so it
+# is meant for small primes: the 4-gonal one tries (p+1)(p^2+p+1) points.
+
+
+def _projective_points(n: int, p: int) -> list[tuple[int, ...]]:
+    """One representative of every point of P^(n-1) over GF(p), the last
+    nonzero coordinate scaled to 1."""
+    out: list[tuple[int, ...]] = []
+    for last in range(n):
+        head = [()]
+        for _ in range(last):
+            head = [h + (c,) for h in head for c in range(p)]
+        out += [h + (1,) + (0,) * (n - 1 - last) for h in head]
+    return out
+
+
+def oracle_fibre_conic(blocks, s: int, t: int, p: int) -> list[list[int]]:
+    """Upper-triangular 3x3 matrix of a section's fibre conic at (s:t).
+
+    blocks hold one binary form per ruling pair (i, j), i <= j, in the
+    order 00, 01, 02, 11, 12, 22, ascending in s-degree; entry (i, j) is
+    that form at (s:t), sum_a B[a] s^a t^(deg - a)."""
+    pairs = [(i, j) for i in range(3) for j in range(i, 3)]
+    mat = [[0] * 3 for _ in range(3)]
+    for (i, j), block in zip(pairs, blocks):
+        deg = len(block) - 1
+        mat[i][j] = sum(int(c) * pow(s, a, p) * pow(t, deg - a, p) for a, c in enumerate(block)) % p
+    return mat
+
+
+def oracle_scroll_curve_points(k, q1_blocks, q2_blocks, p: int) -> list[list[int]]:
+    """Points of the 4-gonal curve: every (s:t) in P^1 and x in P^2 where
+    both fibre conics vanish, embedded by Z_{var(i, a)} = x_i s^a t^(k_i - a).
+    Block i of the variables lists its s-powers in descending order and
+    starts at k_1 + .. + k_(i-1) + (i - 1)."""
+    offsets = [0, k[0] + 1, k[0] + k[1] + 2]
+    found = []
+    for s, t in _projective_points(2, p):
+        conics = [oracle_fibre_conic(blocks, s, t, p) for blocks in (q1_blocks, q2_blocks)]
+        for x in _projective_points(3, p):
+            if any(
+                sum(m[i][j] * x[i] * x[j] for i in range(3) for j in range(3)) % p
+                for m in conics
+            ):
+                continue
+            pt = [0] * (sum(k) + 3)
+            for i in range(3):
+                for a in range(k[i] + 1):
+                    pt[offsets[i] + k[i] - a] = x[i] * pow(s, a, p) * pow(t, k[i] - a, p) % p
+            found.append(pt)
+    return found
+
+
+def oracle_elliptic_points(a4: int, a6: int, p: int) -> list[tuple[int, int]]:
+    """Every affine point (x, y) of y^2 = x^3 + a4*x + a6 over GF(p),
+    trying every x against a table of squares."""
+    roots: dict[int, list[int]] = {}
+    for y in range(p):
+        roots.setdefault(y * y % p, []).append(y)
+    return [(x, y) for x in range(p) for y in roots.get((x**3 + a4 * x + a6) % p, [])]
+
+
+def oracle_ladder_embedding(points, ladder, p: int) -> list[list[int]]:
+    """Rows (x^i y^j for (i, j) in ladder) of the affine points (x, y)."""
+    return [[pow(x, i, p) * pow(y, j, p) % p for i, j in ladder] for x, y in points]
+
+
+def oracle_cone_points(a4: int, a6: int, ladder, p: int) -> list[list[int]]:
+    """Every point (u, e) with u in GF(p) on the cone with vertex
+    (1:0:..:0) over E, e the image of an affine point of E under ladder."""
+    images = oracle_ladder_embedding(oracle_elliptic_points(a4, a6, p), ladder, p)
+    return [[u] + e for e in images for u in range(p)]
+
+
+def oracle_plane_images(base_points, cubic_exponents, p: int) -> list[list[int]]:
+    """Images of every point of P^2 that is no base point under the reduced
+    echelon basis of the cubics through the base points (monomials in the
+    order of cubic_exponents); points mapped to 0 are dropped."""
+    exps = [[int(k) for k in e] for e in cubic_exponents]
+
+    def monomials(pt) -> list[int]:
+        return [pow(pt[0], e[0], p) * pow(pt[1], e[1], p) * pow(pt[2], e[2], p) % p for e in exps]
+
+    base = {tuple(int(c) % p for c in pt) for pt in base_points}
+    evals = [monomials(pt) for pt in base]
+    n = len(exps)
+    _, red, piv = oracle_rref(evals, p)
+    free = [c for c in range(n) if c not in piv]
+    kernel = []
+    for f in free:
+        vec = [0] * n
+        vec[f] = 1
+        for r, c in enumerate(piv):
+            vec[c] = -red[r][f] % p
+        kernel.append(vec)
+    cubics = oracle_rref(kernel, p)[1]
+    images = []
+    for pt in _projective_points(3, p):
+        if pt in base:
+            continue
+        values = monomials(pt)
+        image = [sum(c * v for c, v in zip(cubic, values)) % p for cubic in cubics]
+        if any(image):
+            images.append(image)
+    return images

@@ -12,7 +12,12 @@ from math import comb
 
 import numpy as np
 
-from oracles import oracle_kernel_dim, oracle_rank, oracle_weierstrass_points
+from oracles import (
+    oracle_kernel_dim,
+    oracle_ladder_embedding,
+    oracle_rank,
+    oracle_weierstrass_points,
+)
 from scroll_helpers import (
     fourgonal_sections,
     pad_syzygies,
@@ -30,7 +35,7 @@ from syzlab.koszul import (
     linear_syzygies,
     syz2_span,
 )
-from syzlab.linalg import DEFAULT_PRIME, Subspace, kernel_basis, rank
+from syzlab.linalg import DEFAULT_PRIME, kernel_basis, rank
 from syzlab.ring import GradedRing
 from syzlab.scroll import (
     ScrollFrame,
@@ -44,8 +49,8 @@ from syzlab.surfaces import (
     bielliptic_curve,
     delpezzo_curve,
     elliptic_normal_ideal,
-    embed_points,
     genus5_intersection,
+    pole_order_basis,
 )
 
 P = DEFAULT_PRIME
@@ -119,8 +124,8 @@ def test_criterion_3_genus10_plane_sextic_counts():
     # the budget skips the costly cells of rows q >= 2, which are not read
     curve_grid = betti_table(ring, model.quadrics, p_max=2, max_entries=200_000)
     surface_grid = betti_table(ring, surface, p_max=2, max_entries=200_000)
-    k11_curve, k21_curve = curve_grid.value(1, 1), curve_grid.value(2, 1)
-    k11_surface, k21_surface = surface_grid.value(1, 1), surface_grid.value(2, 1)
+    k11_curve, k21_curve = curve_grid.entries[1, 1], curve_grid.entries[1, 2]
+    k11_surface, k21_surface = surface_grid.entries[1, 1], surface_grid.entries[1, 2]
     cubics_surface = ring.ideal_piece(surface, 3).dim
     rep = syz2_span(ring, model.quadrics, surface)
     dt = time.perf_counter() - t0
@@ -280,7 +285,7 @@ def test_criterion_8_oracle_equivalence_and_sampling_stability():
 
     def embedded_sample(n: int, count: int, seed: int) -> np.ndarray:
         affine = oracle_weierstrass_points(curve.a4, curve.a6, P, count, seed)
-        return embed_points(curve, n, np.array(affine, dtype=np.int64))
+        return np.array(oracle_ladder_embedding(affine, pole_order_basis(n), P), dtype=np.int64)
 
     for n in (6, 8):
         quadrics = elliptic_normal_ideal(n, curve)
@@ -297,11 +302,7 @@ def test_criterion_8_oracle_equivalence_and_sampling_stability():
     for g in range(6, 11):
         model = delpezzo_curve(g, seed=806 + g)
         base = np.array(model.params["base_points"], dtype=np.int64).reshape(-1, 3)
-        cubics = (
-            Subspace.full(ring3.dim(3), P)
-            if len(base) == 0
-            else kernel_basis(ring3.evaluate_monomials(3, base), P)
-        )
+        cubics = kernel_basis(ring3.evaluate_monomials(3, base), P)
         gen_rng = np.random.default_rng(812 + g)
         ring_g = GradedRing(g, P)
 

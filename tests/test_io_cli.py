@@ -44,7 +44,6 @@ def test_model_dict_round_trip_curve():
     assert back.genus == model.genus and back.prime == model.prime
     assert back.quadrics == model.quadrics
     assert back.surface_quadrics == model.surface_quadrics
-    assert np.array_equal(back.sample_points, model.sample_points)
     assert back.params == model.params
 
 
@@ -76,17 +75,17 @@ def test_digest_distinguishes_models():
     assert len(model_digest(a)) == 64
 
 
-# Witness points come from roots(), whose splitting draws from the model's
-# rng; a change to that stream changes these bytes.
+# A digest covers every stored field: a change to a constructor's draws from
+# its rng, or to the keys of the file, changes these bytes.
 PINNED_DIGESTS = {
-    ("genus5", None, 7): "ee4be464eed684c4ad9933db5f05a56b8aba4403ca9301f033395dfb76bfb176",
-    ("genus5", None, P): "fac0f6fe1bd6118821ad682dee95eaedeae18dfe231432a092dcd957ce08b3be",
-    ("fourgonal", 8, 7): "89c5f1590079a1c94c0d9a02f1061fe0f928b577abd01f928e5056d3f47011bf",
-    ("fourgonal", 8, P): "a7678a8f8a5f21012a9971d34e1c47567baa12b0b6116849d1fa4bf3ff83db98",
-    ("bielliptic", 8, 7): "a81543064fe64a8c6cded8dd14f81fbc6d588212accf600627d0d952300cba1a",
-    ("bielliptic", 8, P): "e1e2602327a0bc54678e80690d621378f7a9006c96c678f6a63247aae7e5b7b3",
-    ("delpezzo", 8, 7): "cab6efba3e21fb6db0f6998907e5597b8ea86d33cd328ed5fe51a03debf5d8fa",
-    ("delpezzo", 8, P): "7491d961a8d167a4907342e806d729c1614a47878860d2d8050419110f60222b",
+    ("genus5", None, 7): "e7b0019108841290810c29c18deb3d03a9ea78c224f1ae5e5b3146f02d751085",
+    ("genus5", None, P): "784ae8d6504b70f695e5757ba44acbe225911af3acd059da1857786b5062d979",
+    ("fourgonal", 8, 7): "1aa958eef75ed5adff84a34d6c4535eedef93a99dd72d676f1cd20edeaef0d20",
+    ("fourgonal", 8, P): "5543a5774053043efaa6b4b3889793e89a26677e370464db7a7a13faf8ae236e",
+    ("bielliptic", 8, 7): "2949bdf274cd3bd7ac7e97a492392d4bf33ea46a27b404d886e7eb3aa6e86d54",
+    ("bielliptic", 8, P): "b12199028e6c47fd44f21ebf71f2710e22025d1e4afd1901ad1d1ba5e177c16e",
+    ("delpezzo", 8, 7): "506e31cbd92433ae63f7061fb209b8dde8cb491038c6a8cd6daf1e4e4e532724",
+    ("delpezzo", 8, P): "acef7f3c364e43723937e8df57d086a8075eccb231162ff9622184325bb3f353",
 }
 
 
@@ -127,12 +126,13 @@ def _ideal_rows(ring: GradedRing, polys) -> np.ndarray:
 def test_export_parse_round_trip():
     model = bielliptic_curve(7, seed=86)
     text = export_ideal_text(model)
-    prime, nvars, polys, pts = oracle_parse_ideal_text(text)
+    prime, nvars, polys = oracle_parse_ideal_text(text)
     assert prime == P and nvars == 7
+    assert text.splitlines()[:2] == [f"# prime {P}", "# nvars 7"]
+    assert sum(line.startswith("#") for line in text.splitlines()) == 2
     rows = _ideal_rows(GradedRing(7, P), polys)
     assert np.array_equal(rows, model.quadrics.basis)
     assert Subspace.from_rows(rows, comb(8, 2), P) == model.quadrics
-    assert pts is not None and np.array_equal(pts, model.sample_points)
     # a second export of the parsed payload is byte-identical
     back = model_from_dict(model_to_dict(model))
     assert export_ideal_text(back) == text
@@ -143,8 +143,10 @@ def test_parse_rejects_malformed_text():
         oracle_parse_ideal_text("Z1*Z2\n")  # missing headers
     with pytest.raises(ValueError):
         oracle_parse_ideal_text("# prime 7\n# nvars 3\nZ9^2\n")  # variable out of range
+    with pytest.raises(ValueError):
+        oracle_parse_ideal_text("# prime 7\n# nvars 3\n# point 1 0 0\nZ1^2\n")  # no such header
     assert oracle_parse_ideal_text("# prime 7\n# nvars 3\n3*Z1*Z3 + Z2^2\n0\n") == (
-        7, 3, [{(1, 0, 1): 3, (0, 2, 0): 1}, {}], None
+        7, 3, [{(1, 0, 1): 3, (0, 2, 0): 1}, {}]
     )
 
 
@@ -166,6 +168,12 @@ def test_construct_model_validation():
         construct_model("fourgonal", genus=9, a=2)  # b missing
     with pytest.raises(ValueError):
         construct_model("no-such-family", genus=9)
+    with pytest.raises(ValueError, match="genus-7"):
+        construct_model("fourgonal", genus=6, frame=(1, 1, 2), a=1, b=1)  # frame of genus 7
+    for family, genus in [("bielliptic", 7), ("delpezzo", 7), ("veronese", 10), ("genus5", 5)]:
+        for options in [{"frame": (1, 1, 2)}, {"a": 1, "b": 1}, {"b": 0}]:
+            with pytest.raises(ValueError, match="fourgonal"):
+                construct_model(family, genus=genus, **options)
 
 
 def test_render_betti_marks_gaps():
@@ -206,7 +214,7 @@ def test_cli_construct_analyze_export(tmp_path, capsys):
     assert main([
         "export-ideal", str(model_path), "--out", str(ideal_path),
     ]) == 0
-    prime, nvars, polys, _ = oracle_parse_ideal_text(ideal_path.read_text())
+    prime, nvars, polys = oracle_parse_ideal_text(ideal_path.read_text())
     assert nvars == 8 and len(polys) == 15
     model = load_model(model_path)
     assert np.array_equal(_ideal_rows(GradedRing(8, prime), polys), model.quadrics.basis)
@@ -249,6 +257,22 @@ def test_cli_bad_input_exits_2(tmp_path, capsys):
     assert main(["construct", "fourgonal", "--genus", "11", "--frame", "2,3,3",
                  "--a", "6", "--b", "0", "--out", str(tmp_path / "x.json")]) == 2
     assert "(2, 3, 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fourgonal", "--genus", "6", "--frame", "1,1,2", "--a", "1", "--b", "1"],
+        ["bielliptic", "--genus", "7", "--frame", "1,1,2"],
+        ["bielliptic", "--genus", "7", "--a", "1", "--b", "1"],
+    ],
+)
+def test_cli_construct_refuses_options_it_would_ignore(tmp_path, capsys, args):
+    model_path = tmp_path / "m.json"
+    assert main(["construct", *args, "--out", str(model_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not model_path.exists()
 
 
 @pytest.mark.parametrize("p_max", ["-1", "-3", "100000"])
@@ -303,10 +327,6 @@ def _scalar_rows(data):
     data["quadrics"] = {"ambient_dim": 21, "rows": 5}
 
 
-def _witness_off_the_curve(data):
-    data["sample_points"][0][0] += 1
-
-
 def _surface_not_in_curve_ideal(data):
     data["surface_quadrics"]["rows"][0] = data["quadrics"]["rows"][0][::-1]
 
@@ -324,12 +344,13 @@ def _boolean_surface_coefficient(data):
     row[row.index(1)] = True  # the pivot: the same value as an int
 
 
-def _fractional_witness(data):
-    data["sample_points"][0][0] += 0.5
+def _sample_points_key(data):
+    # the witness points older files stored
+    data["sample_points"] = [[1, 0, 0, 0, 0, 0]]
 
 
-def _short_witness_row(data):
-    data["sample_points"][0] = data["sample_points"][0][:3]
+def _unknown_key(data):
+    data["comment"] = "edited by hand"
 
 
 def _listed_family(data):
@@ -386,7 +407,6 @@ def _fractional_bielliptic_coefficient(data):
         _huge_coefficient,
         _relabel_fourgonal,
         _two_of_six_quadrics,
-        _witness_off_the_curve,
         _surface_not_in_curve_ideal,
         _null_genus,
         _null_prime,
@@ -397,8 +417,8 @@ def _fractional_bielliptic_coefficient(data):
         _null_coefficient,
         _fractional_coefficient,
         _boolean_surface_coefficient,
-        _fractional_witness,
-        _short_witness_row,
+        _sample_points_key,
+        _unknown_key,
         _short_base_point,
         _null_fourgonal_twist,
         _listed_fourgonal_twist,
@@ -413,6 +433,7 @@ def _fractional_bielliptic_coefficient(data):
 )
 def test_malformed_model_files_exit_2(tmp_path, capsys, edit):
     data = model_to_dict(delpezzo_curve(6, seed=93))
+    written = set(data)
     edit(data)
     with pytest.raises(ModelInconsistencyError):
         model_from_dict(data)
@@ -421,6 +442,8 @@ def test_malformed_model_files_exit_2(tmp_path, capsys, edit):
     assert main(["analyze", str(model_path), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    # an added key is named
+    assert all(repr(key) in err for key in set(data) - written)
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", None, "surface"])

@@ -52,7 +52,7 @@ def test_kappa21_two_routes_agree_at_genus6():
     ring = GradedRing(6, P)
     syzygies = linear_syzygies(ring, model.quadrics)
     assert len(syzygies) == _kappa21(6) == 5
-    assert betti_table(ring, model.quadrics, p_max=2).value(2, 1) == 5
+    assert betti_table(ring, model.quadrics, p_max=2).entries[1, 2] == 5
 
 
 def test_every_reported_syzygy_multiplies_to_zero():
@@ -71,10 +71,10 @@ def test_every_reported_syzygy_multiplies_to_zero():
 def test_koszul_corner_values_at_genus6():
     model = _genus6_model()
     table = betti_table(GradedRing(6, P), model.quadrics)
-    assert table.value(0, 0) == 1
-    assert table.value(1, 2) == 0
+    assert table.entries[0, 0] == 1
+    assert table.entries[2, 1] == 0
     # duality partner of the top-left 1 for a genus-6 canonical curve
-    assert table.value(4, 3) == 1
+    assert table.entries[3, 4] == 1
 
 
 def test_syzygy_kernel_ambient_layout():
@@ -155,7 +155,7 @@ def test_size_budget_is_enforced():
     # kappa_0,0 needs no matrix; kappa_2,1 needs two above 10 entries
     table = betti_table(ring, model.quadrics, p_max=2, max_entries=10)
     assert table.truncated
-    assert table.value(0, 0) == 1 and table.value(2, 1) == -1
+    assert table.entries[0, 0] == 1 and table.entries[1, 2] == -1
 
 
 def test_betti_table_genus6():
@@ -163,14 +163,14 @@ def test_betti_table_genus6():
     ring = GradedRing(6, P)
     table = betti_table(ring, model.quadrics, expected_genus=6)
     assert not table.truncated
-    assert table.value(0, 0) == 1
-    assert table.value(1, 1) == 6
-    assert table.value(2, 1) == 5
-    assert table.value(1, 2) == 0
-    assert table.value(2, 2) == 5
-    assert table.value(3, 2) == 6
-    assert table.value(3, 3) == 0
-    assert table.value(4, 3) == 1
+    assert table.entries[0, 0] == 1
+    assert table.entries[1, 1] == 6
+    assert table.entries[1, 2] == 5
+    assert table.entries[2, 1] == 0
+    assert table.entries[2, 2] == 5
+    assert table.entries[2, 3] == 6
+    assert table.entries[3, 3] == 0
+    assert table.entries[3, 4] == 1
 
 
 def test_betti_table_ranks_each_differential_once(monkeypatch):
@@ -206,7 +206,7 @@ def test_complete_grids_satisfy_duality_and_euler_characteristic(build):
 
     def kappa(p_idx, q_idx):
         # columns p >= g - 1 are dual to p < 0, hence zero
-        return table.value(p_idx, q_idx) if p_idx <= g - 2 else 0
+        return table.entries[q_idx, p_idx] if p_idx <= g - 2 else 0
 
     def h(d):
         return 1 if d == 0 else g if d == 1 else (2 * d - 1) * (g - 1)
@@ -239,7 +239,7 @@ def test_betti_table_checks_duality_and_euler_characteristic(monkeypatch):
     with pytest.raises(ModelInconsistencyError, match=r"kappa_2,1 = .* dual kappa_2,2"):
         betti_table(ring, model.quadrics, expected_genus=6)
     # without a genus to check against, the grid comes back as computed
-    assert betti_table(ring, model.quadrics).value(2, 1) == _kappa21(6) + 1
+    assert betti_table(ring, model.quadrics).entries[1, 2] == _kappa21(6) + 1
 
 
 def test_betti_table_rejects_wrong_hilbert_function():

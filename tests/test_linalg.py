@@ -223,7 +223,7 @@ def test_subspace_equality_is_basis_independent():
 
 def test_zero_and_full_subspaces():
     z = Subspace.zero(5, P)
-    f = Subspace.full(5, P)
+    f = Subspace.from_rows(np.eye(5, dtype=np.int64), 5, P)
     assert z.dim == 0 and f.dim == 5
     assert f.contains_space(z)
     assert z.complement() == f

@@ -5,8 +5,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from oracles import oracle_projective_classes
-from scroll_helpers import fourgonal_sections, rolling_syzygy, scroll_points, top_row_forms
+from oracles import oracle_fibre_conic, oracle_scroll_curve_points, oracle_zeros
+from scroll_helpers import rolling_syzygy, scroll_points, top_row_forms
 
 from syzlab.errors import (
     DegenerateScrollError,
@@ -19,10 +19,8 @@ from syzlab.ring import GradedRing
 from syzlab.scroll import (
     PAIRS,
     ScrollFrame,
-    _conic_matrix,
     binary_monomial,
     fourgonal_curve,
-    fourgonal_point_sample,
     lift_section,
     random_section,
     restrict_quadrics,
@@ -171,7 +169,7 @@ def test_lift_evaluates_like_the_section_on_scroll_points():
              for v in range(g) for i, a in [frame.ruling_of(v)]],
             dtype=np.int64,
         )
-        on_fibre = np.array(x) @ _conic_matrix(sec, (s, t), P) % P @ np.array(x) % P
+        on_fibre = np.array(x) @ np.array(oracle_fibre_conic(sec.blocks, s, t, P)) % P @ x % P
         assert int(ring.evaluate_monomials(2, pt)[0] @ quad.coeffs % P) == on_fibre
 
 
@@ -209,6 +207,19 @@ def test_rolling_syzygy_is_a_syzygy_involving_both_quadrics():
 # -- 4-gonal models -----------------------------------------------------------
 
 
+def _check_brute_force_points(model) -> None:
+    """The curve has GF(p)-points where both fibre conics of its stored
+    sections vanish, found by trying every fibre point; every stored
+    quadric and surface quadric vanishes at each of them."""
+    p, params = model.prime, model.params
+    pts = oracle_scroll_curve_points(params["frame"], params["q1_blocks"], params["q2_blocks"], p)
+    assert pts, f"no GF({p})-point on {model.family} g={model.genus} seed={model.seed}"
+    rows = model.quadrics.basis
+    if model.surface_quadrics is not None:
+        rows = np.vstack([rows, model.surface_quadrics.basis])
+    assert oracle_zeros(rows, GradedRing(model.genus, p).exponents(2), pts, p) == pts
+
+
 def test_fourgonal_dimension_and_vanishing():
     frame = ScrollFrame((2, 2, 2))
     g = frame.genus
@@ -216,9 +227,7 @@ def test_fourgonal_dimension_and_vanishing():
     model = fourgonal_curve(frame, 2, 2, seed=40)
     assert model.quadrics.dim == comb(g - 2, 2)
     assert model.quadrics.contains_space(scroll_minors(frame, ring))
-    assert model.sample_points is not None
-    vals = ring.evaluate_monomials(2, model.sample_points) @ model.quadrics.basis.T % P
-    assert not vals.any()
+    _check_brute_force_points(fourgonal_curve(frame, 2, 2, seed=40, prime=13))
 
 
 def test_fourgonal_requires_matching_twists():
@@ -227,22 +236,17 @@ def test_fourgonal_requires_matching_twists():
 
 
 def test_fourgonal_point_sample_lies_on_the_curve():
-    frame = ScrollFrame((1, 2, 2))
-    for p in (P, 7):
-        ring = GradedRing(frame.genus, p)
-        model = fourgonal_curve(frame, 1, 2, seed=41, prime=p)
-        q1, q2 = fourgonal_sections(model)
-        rng = np.random.default_rng(42)
-        pts = fourgonal_point_sample(frame, q1, q2, 10, p, rng)
-        assert 0 < len(pts) <= 10
-        vals = ring.evaluate_monomials(2, pts) @ model.quadrics.basis.T % p
-        assert not vals.any()
-        # a fibre drawn twice must not store its points twice
-        assert len(oracle_projective_classes(pts, p)) == len(pts)
+    # the default split and the one-sided (2, 0) model, whose surface
+    # quadrics are stored too, at every small prime and seed; then every
+    # genus at p = 7
+    for p in (7, 11, 13):
+        for seed in range(3):
+            _check_brute_force_points(construct_model("fourgonal", genus=7, prime=p, seed=seed))
+            _check_brute_force_points(
+                construct_model("fourgonal", genus=7, prime=p, seed=seed, a=2, b=0)
+            )
     for g in range(6, 14):
-        stored = construct_model("fourgonal", genus=g, prime=7, seed=g).sample_points
-        assert stored is not None
-        assert len(oracle_projective_classes(stored, 7)) == len(stored)
+        _check_brute_force_points(construct_model("fourgonal", genus=g, prime=7, seed=g))
 
 
 def test_bidegree_recovery_matches_construction():
@@ -308,5 +312,5 @@ def test_extremal_models_past_genus_9_are_refused(g):
     sec = random_section(frame, g - 5, P, rng)
     for _ in range(20):
         st = (int(rng.integers(0, P)), int(rng.integers(0, P)))
-        upper = _conic_matrix(sec, st, P)
+        upper = np.array(oracle_fibre_conic(sec.blocks, *st, P))
         assert _det3(upper + upper.T) % P == 0

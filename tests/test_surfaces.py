@@ -5,9 +5,16 @@ from math import comb
 import numpy as np
 import pytest
 
-from oracles import oracle_eval_quadric, oracle_projective_classes, oracle_weierstrass_points
+from oracles import (
+    oracle_cone_points,
+    oracle_elliptic_points,
+    oracle_ladder_embedding,
+    oracle_plane_images,
+    oracle_solve_membership,
+    oracle_weierstrass_points,
+    oracle_zeros,
+)
 
-from syzlab.gfpoly import legendre
 from syzlab.harness import construct_model
 from syzlab.koszul import classify_theorem
 from syzlab.linalg import DEFAULT_PRIME, kernel_basis
@@ -15,16 +22,35 @@ from syzlab.models import DELPEZZO, VERONESE
 from syzlab.ring import GradedRing
 from syzlab.surfaces import (
     WeierstrassCurve,
-    _points_over,
     bielliptic_curve,
     delpezzo_curve,
     elliptic_normal_ideal,
-    embed_points,
     genus5_intersection,
     pole_order_basis,
 )
 
 P = DEFAULT_PRIME
+SMALL_PRIMES = (7, 11, 13)
+
+
+def _extra_quadric(model) -> list[int]:
+    """A curve quadric outside the surface ideal: on the surface it cuts
+    out the curve."""
+    surface = [[int(c) for c in row] for row in model.surface_quadrics.basis]
+    rows = ([int(c) for c in row] for row in model.quadrics.basis)
+    return next(row for row in rows if not oracle_solve_membership(surface, row, model.prime))
+
+
+def _check_brute_force_points(model, candidates) -> None:
+    """Every surface quadric vanishes at every candidate point of the
+    surface; some candidates lie on the extra quadric, and every stored
+    quadric vanishes at each of those."""
+    p = model.prime
+    exps = GradedRing(model.genus, p).exponents(2)
+    assert oracle_zeros(model.surface_quadrics.basis, exps, candidates, p) == candidates
+    pts = oracle_zeros([_extra_quadric(model)], exps, candidates, p)
+    assert pts, f"no GF({p})-point on {model.family} g={model.genus} seed={model.seed}"
+    assert oracle_zeros(model.quadrics.basis, exps, pts, p) == pts
 
 
 def test_weierstrass_rejects_singular_cubics():
@@ -38,17 +64,18 @@ def test_weierstrass_rejects_singular_cubics():
 
 
 def test_weierstrass_points_satisfy_the_equation():
-    # the points over x that bielliptic witnesses rule through: two when
-    # x^3 + a4*x + a6 is a nonzero square, one when it is zero, else none
+    # every affine point, found by trying every x: each satisfies the
+    # equation, with the point at infinity they obey the Hasse bound
+    # |#E - (p + 1)| <= 2 sqrt(p), and they contain the random sampler's
     rng = np.random.default_rng(50)
-    for p in (7, 101, P):
+    for p in (7, 11, 13, 101):
         curve = WeierstrassCurve.random(p, rng)
-        for x in [int(v) for v in rng.integers(0, p, size=40)] + list(range(min(p, 20))):
-            rhs = (x**3 + curve.a4 * x + curve.a6) % p
-            pts = _points_over(curve, x)
-            assert len(pts) == {0: 1, 1: 2}.get(legendre(rhs, p), 0)
-            assert len(set(pts)) == len(pts)
-            assert all(px == x and y * y % p == rhs for px, y in pts)
+        pts = oracle_elliptic_points(curve.a4, curve.a6, p)
+        assert len(set(pts)) == len(pts)
+        assert all((y * y - x**3 - curve.a4 * x - curve.a6) % p == 0 for x, y in pts)
+        assert (len(pts) + 1 - (p + 1)) ** 2 <= 4 * p
+        if p % 4 == 3:
+            assert set(oracle_weierstrass_points(curve.a4, curve.a6, p, 6, seed=p)) <= set(pts)
 
 
 def test_pole_order_basis_counts():
@@ -61,13 +88,25 @@ def test_pole_order_basis_counts():
 
 
 def test_embed_points_monomial_consistency():
+    # the ladder 1, x, y, x^2, xy, x^3 embeds E in P^5, where the Weierstrass
+    # equation Z3^2 = Z1 Z6 + a4 Z1 Z2 + a6 Z1^2 is one of its quadrics
     curve = WeierstrassCurve.random(P, np.random.default_rng(51))
+    ladder = pole_order_basis(6)
+    assert ladder == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (3, 0)]
     affine = oracle_weierstrass_points(curve.a4, curve.a6, P, 5, seed=51)
-    emb = embed_points(curve, 6, np.array(affine, dtype=np.int64))
-    basis = pole_order_basis(6)
-    for row, (x, y) in zip(emb, affine):
-        for col, (i, j) in enumerate(basis):
-            assert int(row[col]) == pow(x, i, P) * pow(y, j, P) % P
+    emb = oracle_ladder_embedding(affine, ladder, P)
+    assert [row[:3] for row in emb] == [[1, x, y] for x, y in affine]
+    ring = GradedRing(6, P)
+    weierstrass = np.zeros(ring.dim(2), dtype=np.int64)
+    for exps, c in [
+        ((0, 0, 2, 0, 0, 0), 1),
+        ((1, 0, 0, 0, 0, 1), -1),
+        ((1, 1, 0, 0, 0, 0), -curve.a4),
+        ((2, 0, 0, 0, 0, 0), -curve.a6),
+    ]:
+        weierstrass[ring.index_of(exps)] = c % P
+    assert oracle_zeros([weierstrass], ring.exponents(2), emb, P) == emb
+    assert elliptic_normal_ideal(6, curve).contains(weierstrass)
 
 
 def test_elliptic_normal_ideal_dimensions():
@@ -77,7 +116,7 @@ def test_elliptic_normal_ideal_dimensions():
         quadrics = elliptic_normal_ideal(n, curve)
         assert quadrics.dim == n * (n - 3) // 2
         affine = oracle_weierstrass_points(curve.a4, curve.a6, P, 24, seed=53 + n)
-        pts = embed_points(curve, n, np.array(affine, dtype=np.int64))
+        pts = oracle_ladder_embedding(affine, pole_order_basis(n), P)
         ring = GradedRing(n, P)
         vals = ring.evaluate_monomials(2, pts) @ quadrics.basis.T % P
         assert not vals.any()
@@ -97,7 +136,7 @@ def test_elliptic_cone_shape():
         assert not cone.basis[:, ring.exponents(2)[:, 0] > 0].any()
         curve = WeierstrassCurve(model.params["a4"], model.params["a6"], P)
         affine = oracle_weierstrass_points(curve.a4, curve.a6, P, 8, seed=54 + g)
-        base = embed_points(curve, g - 1, np.array(affine, dtype=np.int64))
+        base = np.array(oracle_ladder_embedding(affine, pole_order_basis(g - 1), P))
         # ruling closure: points on the lines joining the vertex to E
         lam = np.arange(1, len(base) + 1, dtype=np.int64)[:, None]
         ruled = np.hstack([lam, base])
@@ -116,19 +155,13 @@ def test_bielliptic_curve_shape():
         # the branch quadric is nonzero at the vertex: the curve misses it
         vertex_sq = ring.index_of([2] + [0] * (g - 1))
         assert model.quadrics.basis[:, vertex_sq].any()
-        # rulings through fresh points of E give 24 projectively distinct witnesses
-        pts = model.sample_points
-        assert pts is not None and len(oracle_projective_classes(pts, P)) == len(pts) == 24
-        vals = ring.evaluate_monomials(2, model.sample_points) @ model.quadrics.basis.T % P
-        assert not vals.any()
-        # spot-check one vanishing statement against the hand-rolled oracle
-        for pt in model.sample_points[:3]:
-            assert oracle_eval_quadric(
-                [int(c) for c in model.quadrics.basis[0]],
-                ring.exponents(2),
-                [int(x) for x in pt],
-                P,
-            ) == 0
+    # the cone over every affine point of E, at every small prime and seed
+    for p in SMALL_PRIMES:
+        for seed in range(3):
+            model = bielliptic_curve(7, seed=seed, prime=p)
+            ladder = pole_order_basis(6)
+            cone = oracle_cone_points(model.params["a4"], model.params["a6"], ladder, p)
+            _check_brute_force_points(model, cone)
 
 
 DELPEZZO_QUADRIC_DIMS = {6: 5, 7: 9, 8: 14, 9: 20, 10: 27}
@@ -167,10 +200,14 @@ def test_delpezzo_curve_shape():
         assert model.surface_quadrics is not None
         assert model.surface_quadrics.dim == comb(g - 2, 2) - 1
         assert model.quadrics.contains_space(model.surface_quadrics)
-        ring = GradedRing(g, P)
-        assert model.sample_points is not None and len(model.sample_points) > 0
-        vals = ring.evaluate_monomials(2, model.sample_points) @ model.quadrics.basis.T % P
-        assert not vals.any()
+    # every plane point off the base points, mapped by the cubics through them
+    for g in (7, 10):
+        for p in SMALL_PRIMES:
+            for seed in range(3):
+                model = delpezzo_curve(g, seed=seed, prime=p)
+                cubics = GradedRing(3, p).exponents(3)
+                images = oracle_plane_images(model.params["base_points"], cubics, p)
+                _check_brute_force_points(model, images)
 
 
 def test_delpezzo_curve_and_surface_share_the_surface():
@@ -189,10 +226,8 @@ def test_genus5_intersection_shape():
     assert model.genus == 5
     assert model.quadrics.dim == 3
     assert model.quadrics.ambient_dim == comb(6, 2)
-    # a generic complete intersection carries no preferred surface and the
-    # classification needs no witness points, so none are stored
+    # a generic complete intersection carries no preferred surface
     assert model.surface_quadrics is None
-    assert model.sample_points is None
 
 
 def test_constructions_are_seed_deterministic():
@@ -208,13 +243,6 @@ def test_constructions_are_seed_deterministic():
     [("bielliptic", 7), ("bielliptic", 9), ("delpezzo", 6), ("delpezzo", 8), ("veronese", 10)],
 )
 def test_surface_families_over_small_primes(family, genus, prime):
-    # few GF(p)-points exist here; the ideals must not depend on them and
-    # whatever witnesses were found must still lie on the curve, each once
+    # few GF(p)-points exist here; the exact ideals do not depend on them
     model = construct_model(family, genus=genus, prime=prime, seed=0)
     assert classify_theorem(model).passed
-    if model.sample_points is not None:
-        ring = GradedRing(genus, prime)
-        vals = ring.evaluate_monomials(2, model.sample_points) @ model.quadrics.basis.T
-        assert not (vals % prime).any()
-        pts = model.sample_points
-        assert len(oracle_projective_classes(pts, prime)) == len(pts)
