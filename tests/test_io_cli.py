@@ -345,8 +345,26 @@ def _boolean_surface_coefficient(data):
 
 
 def _sample_points_key(data):
-    # the witness points older files stored
-    data["sample_points"] = [[1, 0, 0, 0, 0, 0]]
+    # the witness points older files stored, refused even when empty
+    data["sample_points"] = []
+
+
+# Older files stored witness points; one of such a file that the old load
+# checks refused is still refused, now for its key.
+def _witness_off_the_curve(data):
+    point = [1, 2, 3, 4, 5, 6]
+    prime = data["prime"]
+    values = GradedRing(len(point), prime).evaluate_monomials(2, point)[0]
+    assert (np.asarray(data["quadrics"]["rows"], dtype=np.int64) @ values % prime).any()
+    data["sample_points"] = [point]
+
+
+def _fractional_witness(data):
+    data["sample_points"] = [[1, 0.5, 0, 0, 0, 0]]
+
+
+def _short_witness_row(data):
+    data["sample_points"] = [[1, 0, 0]]
 
 
 def _unknown_key(data):
@@ -418,6 +436,9 @@ def _fractional_bielliptic_coefficient(data):
         _fractional_coefficient,
         _boolean_surface_coefficient,
         _sample_points_key,
+        _witness_off_the_curve,
+        _fractional_witness,
+        _short_witness_row,
         _unknown_key,
         _short_base_point,
         _null_fourgonal_twist,
