@@ -46,7 +46,6 @@ from .models import CurveModel
 from .ring import GradedRing, GradedVector
 from .scroll import (
     ScrollFrame,
-    Section2H,
     fourgonal_curve,
     scroll_minors,
     scrollar_bidegrees,
@@ -75,7 +74,6 @@ __all__ = [
     "InvalidSyzygyError",
     "ModelInconsistencyError",
     "ScrollFrame",
-    "Section2H",
     "SizeLimitError",
     "Subspace",
     "Syz2Report",

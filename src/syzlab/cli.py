@@ -85,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("export-ideal", help="write generators as plain text")
     e.add_argument("model_path")
-    e.add_argument("--format", choices=["cas-text"], default="cas-text")
     e.add_argument("--out", default="ideal.txt")
     return parser
 

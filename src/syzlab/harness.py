@@ -9,20 +9,22 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import ModelInconsistencyError
 from .io import model_digest
-from .koszul import BettiTable, betti_table, classify_theorem
+from .koszul import betti_table, classify_theorem
 from .linalg import DEFAULT_PRIME, check_prime
 from .models import (
     BIELLIPTIC,
     CURVE_FAMILIES,
     DELPEZZO,
     FOURGONAL,
+    GENERA,
     GENUS5,
     VERONESE,
     CurveModel,
+    check_genus,
 )
 from .ring import GradedRing
 from .scroll import (
@@ -60,24 +62,18 @@ def construct_model(
         raise ValueError(
             f"only the fourgonal family takes a frame or twists; {family} got {', '.join(given)}"
         )
-    if family == GENUS5:
-        if genus not in (None, 5):
-            raise ValueError("the complete-intersection family is genus 5 only")
-        return genus5_intersection(seed, prime=p)
-    if family == VERONESE:
-        if genus not in (None, 10):
-            raise ValueError("the plane-sextic family is genus 10 only")
-        return delpezzo_curve(10, seed, prime=p)
-    if genus is None:
+    lowest, highest = GENERA[family]
+    if genus is None and lowest != highest:
         raise ValueError(f"family {family!r} requires --genus")
-    if family == DELPEZZO:
+    genus = check_genus(family, lowest if genus is None else genus)
+    if family == GENUS5:
+        return genus5_intersection(seed, prime=p)
+    if family in (DELPEZZO, VERONESE):
         return delpezzo_curve(genus, seed, prime=p)
     if family == BIELLIPTIC:
         return bielliptic_curve(genus, seed, prime=p)
     # fourgonal
-    sf = ScrollFrame.balanced(genus) if frame is None else ScrollFrame(tuple(frame))
-    if sf.genus != genus:
-        raise ValueError(f"frame {sf.k} is a genus-{sf.genus} scroll, not genus {genus}")
+    sf = ScrollFrame.balanced(genus) if frame is None else ScrollFrame.of_genus(frame, genus)
     if a is None and b is None:
         a, b = default_split(genus)
     elif a is None or b is None:
@@ -152,14 +148,9 @@ def analyze_model(
     return report
 
 
-def render_betti(table: Union[BettiTable, dict]) -> str:
-    """Text grid, one row per q, '--' for zeros and '?' for skipped cells."""
-    if isinstance(table, BettiTable):
-        entries = [[int(x) for x in row] for row in table.entries]
-        truncated = table.truncated
-    else:
-        entries = table["entries"]
-        truncated = table["truncated"]
+def render_betti(table: dict) -> str:
+    """Text grid of a report's betti entry: '--' for zeros, '?' for skips."""
+    entries = table["entries"]
     width = max(2, *(len(str(v)) for row in entries for v in row))
 
     def cell(v: int) -> str:
@@ -167,7 +158,7 @@ def render_betti(table: Union[BettiTable, dict]) -> str:
         return text.rjust(width)
 
     lines = ["  ".join(cell(v) for v in row) for row in entries]
-    if truncated:
+    if table["truncated"]:
         lines.append("(table truncated by size budget)")
     return "\n".join(lines)
 

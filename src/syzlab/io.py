@@ -4,8 +4,8 @@ Files are deterministic: the same model serializes to the same bytes, and
 the model digest is a sha256 over the canonical JSON encoding.  Timings
 never enter digests so reruns of identical analyses stay comparable.
 Model files hold curves only (``"type": "curve"``); loading checks every
-field, refuses any top-level key that saving never writes, and raises
-ModelInconsistencyError on anything else.
+field, and raises ModelInconsistencyError on any key that saving never
+writes and on any genus or params that the family's constructor refuses.
 """
 
 from __future__ import annotations
@@ -18,10 +18,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ModelInconsistencyError
+from .errors import ModelInconsistencyError, SyzlabError
 from .linalg import Subspace, check_prime
-from .models import BIELLIPTIC, CURVE_FAMILIES, DELPEZZO, FOURGONAL, VERONESE, CurveModel
+from .models import BIELLIPTIC, CURVE_FAMILIES, DELPEZZO, FOURGONAL, GENUS5, VERONESE, CurveModel
+from .models import check_genus
 from .ring import GradedRing
+from .scroll import ScrollFrame, check_twists
+from .surfaces import WeierstrassCurve
 
 FORMAT_VERSION = 1
 
@@ -91,6 +94,12 @@ def _require(data: dict, keys, what: str) -> None:
         raise ModelInconsistencyError(f"{what} lacks {', '.join(missing)}")
 
 
+def _refuse_unknown(data: dict, known, what: str) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ModelInconsistencyError(f"{what} has unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def model_to_dict(model: CurveModel) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -105,7 +114,7 @@ def model_to_dict(model: CurveModel) -> dict:
     }
 
 
-# params that every model file of the family carries (its constructor stores
+# the params a model file of the family carries (its constructor stores
 # them), each with its _int_tree shape
 _FAMILY_PARAMS = {
     FOURGONAL: {
@@ -114,7 +123,22 @@ _FAMILY_PARAMS = {
     BIELLIPTIC: {"a4": (), "a6": ()},
     DELPEZZO: {"base_points": (None, 3)},
     VERONESE: {"base_points": (None, 3)},
+    GENUS5: {},
 }
+
+
+def _check_family(family: str, genus: int, prime: int, params: dict) -> None:
+    """Refuse a genus or params the family's constructor would refuse."""
+    try:
+        check_genus(family, genus)
+        if family == FOURGONAL:
+            check_twists(ScrollFrame.of_genus(params["frame"], genus), params["a"], params["b"])
+        elif family == BIELLIPTIC:
+            WeierstrassCurve(params["a4"], params["a6"], prime)
+        elif family != GENUS5 and len(params["base_points"]) != 10 - genus:
+            raise ValueError(f"base_points must hold 10 - g = {10 - genus} points at genus {genus}")
+    except (ValueError, SyzlabError) as exc:
+        raise ModelInconsistencyError(f"model file: {exc}") from None
 
 
 def model_from_dict(data: dict) -> CurveModel:
@@ -127,11 +151,7 @@ def model_from_dict(data: dict) -> CurveModel:
         )
     if data.get("type") != "curve":
         raise ModelInconsistencyError(f"model type {data.get('type')!r} is not 'curve'")
-    unknown = sorted(set(data) - _FILE_KEYS)
-    if unknown:
-        raise ModelInconsistencyError(
-            f"model file has unknown top-level key(s) {', '.join(map(repr, unknown))}"
-        )
+    _refuse_unknown(data, _FILE_KEYS, "model file")
     _require(data, ("genus", "prime", "seed", "quadrics", "family"), "model file")
     family = data["family"]
     if family not in CURVE_FAMILIES:
@@ -142,21 +162,21 @@ def model_from_dict(data: dict) -> CurveModel:
         if type(data[key]) is not int:  # bool is an int subclass
             raise ModelInconsistencyError(f"{key} must be an integer, got {data[key]!r}")
     genus = data["genus"]
-    if genus < 5:
-        raise ModelInconsistencyError(f"genus must be at least 5, got {genus}")
     prime = check_prime(data["prime"])
-    ambient_dim = comb(genus + 1, 2)
-    quadrics = _subspace_from_payload(data["quadrics"], prime, ambient_dim)
-    if quadrics is None:
-        raise ModelInconsistencyError("model file has no quadric space")
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ModelInconsistencyError(f"params must be a JSON object, got {type(params).__name__}")
-    shapes = _FAMILY_PARAMS.get(family, {})
+    shapes = _FAMILY_PARAMS[family]
+    _refuse_unknown(params, shapes, f"{family} model params")
     _require(params, shapes, f"{family} model params")
     bad = [key for key, shape in shapes.items() if not _int_tree(params[key], shape)]
     if bad:
         raise ModelInconsistencyError(f"{family} model params {', '.join(bad)} are malformed")
+    _check_family(family, genus, prime, params)
+    ambient_dim = comb(genus + 1, 2)
+    quadrics = _subspace_from_payload(data["quadrics"], prime, ambient_dim)
+    if quadrics is None:
+        raise ModelInconsistencyError("model file has no quadric space")
     if quadrics.dim != comb(genus - 2, 2):
         raise ModelInconsistencyError(
             f"curve quadrics span dimension {quadrics.dim}, a canonical "

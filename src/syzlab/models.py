@@ -21,6 +21,18 @@ GENUS5 = "genus5"
 
 CURVE_FAMILIES = (FOURGONAL, BIELLIPTIC, DELPEZZO, VERONESE, GENUS5)
 
+# lowest and highest genus of each family's models (None: no bound)
+GENERA = {FOURGONAL: (6, None), BIELLIPTIC: (6, None), DELPEZZO: (6, 9), VERONESE: (10, 10),
+          GENUS5: (5, 5)}
+
+
+def check_genus(family: str, genus: int) -> int:
+    """The genus, refused unless the family has models of that genus."""
+    lowest, highest = GENERA[family]
+    if not lowest <= genus <= (highest or genus):
+        raise ValueError(f"{family} models have genus {lowest}..{highest or ''}, got {genus}")
+    return genus
+
 
 @dataclass
 class CurveModel:

@@ -12,8 +12,11 @@ s-powers in descending order, so block i occupies the k_i + 1 consecutive
 variables starting at offset_i and the two rows of the determinantal
 matrix are simply (block shifted by 0) over (block shifted by 1).
 
-Sections of 2H - lambda*F are stored per variable pair (i, j), i <= j, as
-dense binary-form coefficient arrays indexed by ascending s-degree.
+A section of 2H - lambda*F is one flat coordinate vector: pair by pair in
+PAIRS order, the coefficients of x_i x_j s^alpha t^(k_i+k_j-lambda-alpha),
+alpha ascending.  Multiplication by s^i t^(lambda-i) (shift_index) and the
+lift of a twist-0 section to a quadric (lift_index) are index maps on it;
+restriction_targets is the lift's left inverse.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .linalg import (
     rank,
 )
 from .models import FOURGONAL, CurveModel
-from .ring import GradedRing, GradedVector
+from .ring import GradedRing
 
 # fixed enumeration of unordered ruling pairs (i <= j)
 PAIRS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -88,13 +91,17 @@ class ScrollFrame:
             )
         return cls((k1, k2, k3))
 
+    @classmethod
+    def of_genus(cls, k, genus: int) -> "ScrollFrame":
+        """The frame k, refused unless its scroll has the given genus."""
+        frame = cls(tuple(k))
+        if frame.genus != genus:
+            raise ValueError(f"frame {frame.k} is a genus-{frame.genus} scroll, not genus {genus}")
+        return frame
+
     @property
     def genus(self) -> int:
         return sum(self.k) + 3
-
-    @property
-    def num_vars(self) -> int:
-        return self.genus
 
     @property
     def offsets(self) -> tuple[int, int, int]:
@@ -147,39 +154,13 @@ def _pair_exponent(g: int, u: int, v: int) -> list[int]:
 
 
 def _check_ring(frame: ScrollFrame, ring: GradedRing) -> None:
-    if ring.num_vars != frame.num_vars:
+    if ring.num_vars != frame.genus:
         raise DimensionMismatchError(
-            f"frame needs {frame.num_vars} variables, ring has {ring.num_vars}"
+            f"frame needs {frame.genus} variables, ring has {ring.num_vars}"
         )
 
 
 # -- sections of 2H - lambda*F ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Section2H:
-    """Section of 2H - twist*F: one binary form per ruling pair.
-
-    blocks[n] collects the coefficients of x_i x_j s^alpha t^(deg-alpha)
-    for (i, j) = PAIRS[n], indexed by ascending s-degree alpha; the block
-    is empty when k_i + k_j < twist.
-    """
-
-    frame: ScrollFrame
-    twist: int
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.blocks) != len(PAIRS):
-            raise ValueError("a section needs one block per ruling pair")
-        for pair, block, want in zip(PAIRS, self.blocks, section_dims(self.frame, self.twist)):
-            if len(block) != want:
-                raise DimensionMismatchError(
-                    f"block {pair} must hold {want} coefficients, got {len(block)}"
-                )
-
-    def is_zero(self) -> bool:
-        return not any(b.any() for b in self.blocks)
 
 
 def block_length(frame: ScrollFrame, i: int, j: int, twist: int) -> int:
@@ -197,81 +178,36 @@ def section_dim(frame: ScrollFrame, twist: int) -> int:
     return sum(section_dims(frame, twist))
 
 
-def section_from_coords(frame: ScrollFrame, twist: int, coords) -> Section2H:
-    dims = section_dims(frame, twist)
-    vec = np.asarray(coords, dtype=np.int64)
-    if vec.shape != (sum(dims),):
-        raise DimensionMismatchError(
-            f"expected {sum(dims)} coordinates for twist {twist}, got {vec.shape}"
-        )
-    return Section2H(frame, twist, tuple(np.split(vec.copy(), np.cumsum(dims)[:-1])))
+def _block_offsets(frame: ScrollFrame, twist: int) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(section_dims(frame, twist))[:-1]])
 
 
-def random_section(
-    frame: ScrollFrame, twist: int, prime: int, rng: np.random.Generator
-) -> Section2H:
-    """Uniformly random section; raises if the linear system is empty."""
-    total = section_dim(frame, twist)
-    if total == 0:
-        raise EmptyLinearSystemError(
-            f"no sections of 2H - {twist}F on frame {frame.k}"
-        )
-    coords = rng.integers(0, prime, size=total, dtype=np.int64)
-    return section_from_coords(frame, twist, coords)
+def shift_index(frame: ScrollFrame, twist: int, s_power: int) -> np.ndarray:
+    """Twist-0 coordinate of s^s_power t^(twist - s_power) times each
+    twist-`twist` coordinate: within a block, s-degree alpha moves to
+    alpha + s_power."""
+    return np.concatenate(
+        [off + s_power + np.arange(n, dtype=np.int64)
+         for off, n in zip(_block_offsets(frame, 0), section_dims(frame, twist))]
+    )
 
 
-def binary_monomial(s_degree: int, degree: int) -> np.ndarray:
-    """Coefficients of s^s_degree * t^(degree - s_degree)."""
-    if not 0 <= s_degree <= degree:
-        raise ValueError(f"s-degree {s_degree} outside [0, {degree}]")
-    out = np.zeros(degree + 1, dtype=np.int64)
-    out[s_degree] = 1
-    return out
+def lift_index(frame: ScrollFrame, ring: GradedRing) -> np.ndarray:
+    """Quadric monomial of each twist-0 coordinate.
 
-
-def twist_down(sec: Section2H, form, prime: int) -> Section2H:
-    """Multiply by a binary form in (s, t), lowering the twist by its degree."""
-    form = np.asarray(form, dtype=np.int64) % prime
-    mu = len(form) - 1
-    if mu < 0:
-        raise ValueError("binary form must have at least one coefficient")
-    if sec.twist - mu < 0:
-        raise ValueError(f"cannot lower twist {sec.twist} by degree {mu}")
-    new_blocks = []
-    for n, (i, j) in enumerate(PAIRS):
-        new_len = block_length(sec.frame, i, j, sec.twist - mu)
-        if len(sec.blocks[n]) == 0:
-            new_blocks.append(np.zeros(new_len, dtype=np.int64))
-            continue
-        conv = np.convolve(sec.blocks[n], form) % prime
-        out = np.zeros(new_len, dtype=np.int64)
-        out[: len(conv)] = conv
-        new_blocks.append(out)
-    return Section2H(sec.frame, sec.twist - mu, tuple(new_blocks))
-
-
-def lift_section(ring: GradedRing, sec: Section2H) -> GradedVector:
-    """Quadric in the ambient space restricting to a twist-0 section.
-
-    Each bidegree monomial x_i x_j s^alpha t^(...) is realized as a product
-    of two ambient variables by the deterministic split a = min(alpha, k_i)
-    of the total s-degree; different splits differ by scroll minors.
+    x_i x_j s^alpha t^(...) is realized as a product of two ambient
+    variables by the deterministic split a = min(alpha, k_i) of the total
+    s-degree; different splits differ by scroll minors.
     """
-    frame = sec.frame
     _check_ring(frame, ring)
-    if sec.twist != 0:
-        raise ValueError(f"only twist-0 sections lift; got twist {sec.twist}")
-    g = ring.num_vars
-    out = np.zeros(ring.dim(2), dtype=np.int64)
-    for n, (i, j) in enumerate(PAIRS):
-        for alpha, c in enumerate(sec.blocks[n]):
-            if not c:
-                continue
-            a = min(alpha, frame.k[i])
-            u = frame.var_index(i, a)
-            v = frame.var_index(j, alpha - a)
-            out[ring.index_of(_pair_exponent(g, u, v))] += int(c)
-    return GradedVector(2, out % ring.prime)
+    g = frame.genus
+    return np.array(
+        [ring.index_of(_pair_exponent(g, frame.var_index(i, a), frame.var_index(j, alpha - a)))
+         for i, j in PAIRS
+         for alpha in range(block_length(frame, i, j, 0))
+         for a in [min(alpha, frame.k[i])]],
+        dtype=np.int64,
+    )
 
 
 # -- restriction to the scroll ------------------------------------------------
@@ -280,9 +216,7 @@ def lift_section(ring: GradedRing, sec: Section2H) -> GradedVector:
 def restriction_targets(frame: ScrollFrame, ring: GradedRing) -> np.ndarray:
     """For each quadric monomial, its coordinate in the twist-0 section space."""
     _check_ring(frame, ring)
-    dims = section_dims(frame, 0)
-    offsets = np.concatenate([[0], np.cumsum(dims)[:-1]])
-    pair_pos = {pair: n for n, pair in enumerate(PAIRS)}
+    offsets = _block_offsets(frame, 0)
     exps = ring.exponents(2)
     targets = np.empty(len(exps), dtype=np.int64)
     for m, e in enumerate(exps):
@@ -291,39 +225,15 @@ def restriction_targets(frame: ScrollFrame, ring: GradedRing) -> np.ndarray:
         j, sb = frame.ruling_of(v)
         if i > j:
             i, j = j, i
-        targets[m] = offsets[pair_pos[(i, j)]] + sa + sb
+        targets[m] = offsets[PAIRS.index((i, j))] + sa + sb
     return targets
 
 
-def restrict_quadrics(frame: ScrollFrame, ring: GradedRing, rows) -> np.ndarray:
-    """Images of ambient quadrics in the twist-0 section coordinates."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64)) % ring.prime
-    targets = restriction_targets(frame, ring)
-    out = np.zeros((section_dim(frame, 0), rows.shape[0]), dtype=np.int64)
-    np.add.at(out, targets, rows.T)
-    return out.T % ring.prime
-
-
 def restriction_image(frame: ScrollFrame, ring: GradedRing, quadrics: Subspace) -> Subspace:
-    img = restrict_quadrics(frame, ring, quadrics.basis)
-    return Subspace.from_rows(img, section_dim(frame, 0), ring.prime)
-
-
-def _twist_multiplication(frame: ScrollFrame, twist: int, s_power: int) -> np.ndarray:
-    """Matrix of multiplication by s^s_power t^(twist - s_power).
-
-    Maps twist-`twist` section coordinates into twist-0 ones; within each
-    block the ascending-s coefficients just shift up by s_power.
-    """
-    src_dims = section_dims(frame, twist)
-    dst_dims = section_dims(frame, 0)
-    src_off = np.concatenate([[0], np.cumsum(src_dims)[:-1]])
-    dst_off = np.concatenate([[0], np.cumsum(dst_dims)[:-1]])
-    mat = np.zeros((int(np.sum(dst_dims)), int(np.sum(src_dims))), dtype=np.int64)
-    for n in range(len(PAIRS)):
-        for alpha in range(src_dims[n]):
-            mat[int(dst_off[n]) + alpha + s_power, int(src_off[n]) + alpha] = 1
-    return mat
+    """Span of the quadrics' images in the twist-0 section coordinates."""
+    out = np.zeros((section_dim(frame, 0), quadrics.dim), dtype=np.int64)
+    np.add.at(out, restriction_targets(frame, ring), quadrics.basis.T)
+    return Subspace.from_rows(out.T % ring.prime, section_dim(frame, 0), ring.prime)
 
 
 def scrollar_bidegrees(frame: ScrollFrame, restricted: Subspace) -> tuple[int, int]:
@@ -350,12 +260,7 @@ def scrollar_bidegrees(frame: ScrollFrame, restricted: Subspace) -> tuple[int, i
     for j in range(1, frame.k[1] + frame.k[2] + 1):
         if section_dim(frame, j) == 0:
             break
-        conditions = np.vstack(
-            [
-                annihilator @ _twist_multiplication(frame, j, i) % p
-                for i in range(j + 1)
-            ]
-        )
+        conditions = np.vstack([annihilator[:, shift_index(frame, j, i)] for i in range(j + 1)])
         # divisibility is monotone (s*v divides whenever v does), so the
         # first empty twist ends the search
         if section_dim(frame, j) - rank(conditions, p) == 0:
@@ -374,19 +279,9 @@ def scrollar_bidegrees(frame: ScrollFrame, restricted: Subspace) -> tuple[int, i
 MAX_REDRAWS = 8
 
 
-def fourgonal_curve(
-    frame: ScrollFrame, a: int, b: int, seed: int, prime: int = DEFAULT_PRIME
-) -> CurveModel:
-    """Canonical 4-gonal curve cut on the scroll by sections of twists a, b.
-
-    The quadric ideal piece is the scroll minors plus ambient lifts of the
-    binary-form multiples of the two sections; its dimension C(g-2, 2) is
-    certified by rank, redrawing the sections on failure.  Twists whose
-    sections all have singular fibre conics are refused: the curve they cut
-    splits, so it is no canonical curve.
-    """
+def check_twists(frame: ScrollFrame, a: int, b: int) -> None:
+    """Refuse twists that cut no canonical curve, a split one included."""
     g = frame.genus
-    p = check_prime(prime)
     if a < 0 or b < 0 or a + b != g - 5:
         raise ValueError(f"need a, b >= 0 with a + b = g - 5 = {g - 5}, got ({a}, {b})")
     if frame.k[2] > (g - 1) // 2:
@@ -404,21 +299,38 @@ def fourgonal_curve(
                 f"frame {frame.k} has no sections of 2H - {twist}F with a "
                 f"nonsingular fibre conic; the curve would be reducible"
             )
+
+def fourgonal_curve(
+    frame: ScrollFrame, a: int, b: int, seed: int, prime: int = DEFAULT_PRIME
+) -> CurveModel:
+    """Canonical 4-gonal curve cut on the scroll by sections of twists a, b.
+
+    The quadric ideal piece is the scroll minors plus ambient lifts of the
+    binary-form multiples of the two sections; its dimension C(g-2, 2) is
+    certified by rank, redrawing the sections on failure.
+    """
+    g = frame.genus
+    p = check_prime(prime)
+    check_twists(frame, a, b)
     ring = GradedRing(g, p)
     minors = scroll_minors(frame, ring)
+    lift = lift_index(frame, ring)
+
+    def lifted_multiples(section: np.ndarray, twist: int) -> np.ndarray:
+        rows = np.zeros((twist + 1, ring.dim(2)), dtype=np.int64)
+        for i in range(twist + 1):
+            rows[i, lift[shift_index(frame, twist, i)]] = section
+        return rows
+
     target = comb(g - 2, 2)
     rng = np.random.default_rng(seed)
     for _ in range(MAX_REDRAWS):
-        q1 = random_section(frame, a, p, rng)
-        q2 = random_section(frame, b, p, rng)
-        if q1.is_zero() or q2.is_zero():
+        q1 = rng.integers(0, p, size=section_dim(frame, a), dtype=np.int64)
+        q2 = rng.integers(0, p, size=section_dim(frame, b), dtype=np.int64)
+        if not (q1.any() and q2.any()):
             continue
-        side_a = [twist_down(q1, binary_monomial(i, a), p) for i in range(a + 1)]
-        side_b = [twist_down(q2, binary_monomial(i, b), p) for i in range(b + 1)]
-        lifts = [lift_section(ring, sec).coeffs for sec in side_a + side_b]
-        quadrics = Subspace.from_rows(
-            np.vstack([minors.basis, np.array(lifts)]), ring.dim(2), p
-        )
+        side_a, side_b = lifted_multiples(q1, a), lifted_multiples(q2, b)
+        quadrics = Subspace.from_rows(np.vstack([minors.basis, side_a, side_b]), ring.dim(2), p)
         if quadrics.dim == target:
             break
     else:
@@ -430,8 +342,11 @@ def fourgonal_curve(
         # the curve is a quadric section of the degree-(g-1) surface cut by
         # the positive-twist section; store that surface's quadrics
         big = side_a if a >= b else side_b
-        surf_rows = np.vstack([minors.basis, np.array([lift_section(ring, s).coeffs for s in big])])
-        surface = Subspace.from_rows(surf_rows, ring.dim(2), p)
+        surface = Subspace.from_rows(np.vstack([minors.basis, big]), ring.dim(2), p)
+
+    def blocks(section: np.ndarray, twist: int) -> list[list[int]]:
+        return [blk.tolist() for blk in np.split(section, _block_offsets(frame, twist)[1:])]
+
     return CurveModel(
         family=FOURGONAL,
         genus=g,
@@ -443,7 +358,7 @@ def fourgonal_curve(
             "frame": list(frame.k),
             "a": int(a),
             "b": int(b),
-            "q1_blocks": [[int(c) for c in blk] for blk in q1.blocks],
-            "q2_blocks": [[int(c) for c in blk] for blk in q2.blocks],
+            "q1_blocks": blocks(q1, a),
+            "q2_blocks": blocks(q2, b),
         },
     )

@@ -1,6 +1,7 @@
 """Scroll constructions that only the tests need, written against the
-public ring API rather than the library's scroll internals, with the
-linear solve and the section rebuild they use.
+public ring and scroll API, with the linear solve and the section rebuild
+they use.  Sections are flat coordinate vectors in the layout of
+`section_dims`.
 
 Rolling factors: with Y/W the top and bottom entries of
 `ScrollFrame.columns()`, A_j linear forms and alpha_j scalars, put
@@ -23,7 +24,13 @@ import numpy as np
 from syzlab.linalg import DEFAULT_PRIME, Subspace, kernel_basis, rref
 from syzlab.models import FOURGONAL, CurveModel
 from syzlab.ring import GradedRing, GradedVector
-from syzlab.scroll import ScrollFrame, Section2H, lift_section, scroll_minors
+from syzlab.scroll import (
+    ScrollFrame,
+    lift_index,
+    scroll_minors,
+    section_dims,
+    shift_index,
+)
 
 
 def variable(ring: GradedRing, v: int) -> GradedVector:
@@ -43,16 +50,28 @@ def solve(mat, rhs, p: int) -> np.ndarray | None:
     return x
 
 
-def fourgonal_sections(model: CurveModel) -> tuple[Section2H, Section2H]:
-    """The two defining sections stored in a 4-gonal model's params."""
+def fourgonal_sections(model: CurveModel) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinate vectors of the two defining sections stored in a
+    4-gonal model's params."""
     assert model.family == FOURGONAL, model.family
-    frame = ScrollFrame(tuple(model.params["frame"]))
+    q1, q2 = (
+        np.array([c for block in model.params[key] for c in block], dtype=np.int64)
+        for key in ("q1_blocks", "q2_blocks")
+    )
+    return q1, q2
 
-    def section(twist: str, blocks: str) -> Section2H:
-        arrays = tuple(np.array(b, dtype=np.int64) for b in model.params[blocks])
-        return Section2H(frame, int(model.params[twist]), arrays)
 
-    return section("a", "q1_blocks"), section("b", "q2_blocks")
+def section_blocks(frame: ScrollFrame, twist: int, coords) -> list[np.ndarray]:
+    """A twist-`twist` coordinate vector cut into its ruling-pair blocks."""
+    return np.split(np.asarray(coords), np.cumsum(section_dims(frame, twist))[:-1])
+
+
+def lifted_multiple(frame: ScrollFrame, ring: GradedRing, coords, twist: int, s_power: int):
+    """Quadric coefficients of the lift of s^s_power t^(twist - s_power)
+    times the twist-`twist` section with the given coordinates."""
+    quad = np.zeros(ring.dim(2), dtype=np.int64)
+    quad[lift_index(frame, ring)[shift_index(frame, twist, s_power)]] = coords
+    return quad % ring.prime
 
 
 def scroll_points(frame: ScrollFrame, n: int, seed, prime: int = DEFAULT_PRIME) -> np.ndarray:
@@ -71,16 +90,16 @@ def scroll_points(frame: ScrollFrame, n: int, seed, prime: int = DEFAULT_PRIME) 
     return np.array(rows, dtype=np.int64).reshape(n, frame.genus)
 
 
-def scroll_ring_syzygies(frame: ScrollFrame, ring: GradedRing, sections) -> Subspace:
-    """Linear syzygies sum_{v,r} c_{v,r} Z_v * lift(sec_r) = 0 in the scroll's
-    coordinate ring, indexed variable-major (v * len(sections) + r).
+def scroll_ring_syzygies(frame: ScrollFrame, ring: GradedRing, lifts) -> Subspace:
+    """Linear syzygies sum_{v,r} c_{v,r} Z_v * lifts[r] = 0 in the scroll's
+    coordinate ring, indexed variable-major (v * len(lifts) + r).
 
     The scroll is projectively normal, so its cubics are the degree-3 piece
     of the ideal of its minors.
     """
     cubics = ring.ideal_piece(scroll_minors(frame, ring), 3)
-    lifts = [lift_section(ring, sec) for sec in sections]
-    rows = [ring.multiply(variable(ring, v), q).coeffs for v in range(ring.num_vars) for q in lifts]
+    quads = [ring.vector(2, q) for q in lifts]
+    rows = [ring.multiply(variable(ring, v), q).coeffs for v in range(ring.num_vars) for q in quads]
     return kernel_basis(cubics.reduce(np.array(rows)).T, ring.prime)
 
 

@@ -20,6 +20,7 @@ from oracles import (
 )
 from scroll_helpers import (
     fourgonal_sections,
+    lifted_multiple,
     pad_syzygies,
     rolling_residual,
     scroll_points,
@@ -37,13 +38,7 @@ from syzlab.koszul import (
 )
 from syzlab.linalg import DEFAULT_PRIME, kernel_basis, rank
 from syzlab.ring import GradedRing
-from syzlab.scroll import (
-    ScrollFrame,
-    binary_monomial,
-    fourgonal_curve,
-    scroll_minors,
-    twist_down,
-)
+from syzlab.scroll import ScrollFrame, fourgonal_curve, scroll_minors
 from syzlab.surfaces import (
     WeierstrassCurve,
     bielliptic_curve,
@@ -231,8 +226,8 @@ def test_criterion_7_scroll_quotient_syzygy_dimensions():
         ring = GradedRing(g, P)
         model = fourgonal_curve(frame, a, b, seed=700 + g)
         q1, q2 = fourgonal_sections(model)
-        side1 = [twist_down(q1, binary_monomial(i, a), P) for i in range(a + 1)]
-        side2 = [twist_down(q2, binary_monomial(i, b), P) for i in range(b + 1)]
+        side1 = [lifted_multiple(frame, ring, q1, a, i) for i in range(a + 1)]
+        side2 = [lifted_multiple(frame, ring, q2, b, i) for i in range(b + 1)]
         full = scroll_ring_syzygies(frame, ring, side1 + side2)
         s1 = scroll_ring_syzygies(frame, ring, side1)
         s2 = scroll_ring_syzygies(frame, ring, side2)

@@ -95,6 +95,23 @@ def test_model_bytes_are_pinned(family, genus, prime):
     assert model_digest(model) == PINNED_DIGESTS[family, genus, prime]
 
 
+# One-sided 4-gonal models at genus 7, twists (2, 0): their surface quadrics
+# are the lifts of the twist-2 section's multiples, so these bytes also
+# cover the order and size of the section draws and the params layout.
+PINNED_ONE_SIDED = {
+    (None, 7): "e2f3c6ac5089cf0927b94c1e5ea6618dcccf21247c44e51b66c3face9876f501",
+    (None, P): "c8f118d53c7624022ae9e4adce2749f5a02cf54426a6b6b42d17346f841aab4a",
+    ((1, 1, 2), 101): "f69d31b1a9aa541f8f3e14f5672077742352eaee26fe493fee8531e447efc7ae",
+}
+
+
+@pytest.mark.parametrize("frame,prime", sorted(PINNED_ONE_SIDED, key=str))
+def test_one_sided_model_bytes_are_pinned(frame, prime):
+    model = construct_model("fourgonal", genus=7, prime=prime, seed=0, frame=frame, a=2, b=0)
+    assert model.surface_quadrics is not None
+    assert model_digest(model) == PINNED_ONE_SIDED[frame, prime]
+
+
 def test_analysis_reports_are_deterministic_up_to_timings():
     model = construct_model("fourgonal", genus=8, seed=85)
     r1 = strip_timings(analyze_model(model))
@@ -170,6 +187,8 @@ def test_construct_model_validation():
         construct_model("no-such-family", genus=9)
     with pytest.raises(ValueError, match="genus-7"):
         construct_model("fourgonal", genus=6, frame=(1, 1, 2), a=1, b=1)  # frame of genus 7
+    with pytest.raises(ValueError, match="delpezzo models have genus 6..9"):
+        construct_model("delpezzo", genus=10)  # the genus-10 surface is the Veronese
     for family, genus in [("bielliptic", 7), ("delpezzo", 7), ("veronese", 10), ("genus5", 5)]:
         for options in [{"frame": (1, 1, 2)}, {"a": 1, "b": 1}, {"b": 0}]:
             with pytest.raises(ValueError, match="fourgonal"):
@@ -418,6 +437,68 @@ def _fractional_bielliptic_coefficient(data):
     _swap_in(data, bielliptic_curve(6, seed=95), "a6", 1.5)
 
 
+# Files whose family contradicts their genus or params: each is refused for
+# what its family's constructor would refuse.
+def _relabelled(data, model, family, params):
+    data.clear()
+    data.update(model_to_dict(model))
+    data["family"], data["params"] = family, params
+
+
+def _fourgonal_as_genus5(data):
+    _relabelled(data, construct_model("fourgonal", genus=7, seed=94), "genus5", {})
+
+
+def _fourgonal_as_veronese(data):
+    _relabelled(data, construct_model("fourgonal", genus=7, seed=94), "veronese",
+                {"base_points": []})
+
+
+def _fourgonal_as_basepointless_delpezzo(data):
+    _relabelled(data, construct_model("fourgonal", genus=7, seed=94), "delpezzo",
+                {"base_points": []})
+
+
+def _genus5_with_params(data):
+    _relabelled(data, construct_model("genus5", seed=94), "genus5", {"a4": 1})
+
+
+def _veronese_as_delpezzo(data):
+    model = construct_model("veronese", prime=101, seed=94)
+    _relabelled(data, model, "delpezzo", model.params)
+
+
+def _genus5_as_bielliptic(data):
+    _relabelled(data, construct_model("genus5", seed=94), "bielliptic", {"a4": 1, "a6": 1})
+
+
+def _singular_bielliptic_cubic(data):
+    data.clear()
+    data.update(model_to_dict(bielliptic_curve(6, seed=95)))
+    data["params"].update(a4=0, a6=0)
+
+
+def _extra_params_key(data):
+    data["params"]["note"] = 1
+
+
+def _negative_fourgonal_twist(data):
+    _swap_in(data, construct_model("fourgonal", genus=7, seed=94), "a", 5)
+    data["params"]["b"] = -3
+
+
+def _fourgonal_frame_of_another_genus(data):
+    _swap_in(data, construct_model("fourgonal", genus=7, seed=94), "frame", [1, 1, 3])
+
+
+def _unsorted_fourgonal_frame(data):
+    _swap_in(data, construct_model("fourgonal", genus=7, seed=94), "frame", [2, 1, 1])
+
+
+def _degenerate_fourgonal_frame(data):
+    _swap_in(data, construct_model("fourgonal", genus=7, seed=94), "frame", [0, 0, 4])
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -446,6 +527,18 @@ def _fractional_bielliptic_coefficient(data):
         _short_fourgonal_frame,
         _flat_fourgonal_blocks,
         _fractional_bielliptic_coefficient,
+        _fourgonal_as_genus5,
+        _fourgonal_as_veronese,
+        _fourgonal_as_basepointless_delpezzo,
+        _genus5_with_params,
+        _veronese_as_delpezzo,
+        _genus5_as_bielliptic,
+        _singular_bielliptic_cubic,
+        _extra_params_key,
+        _negative_fourgonal_twist,
+        _fourgonal_frame_of_another_genus,
+        _unsorted_fourgonal_frame,
+        _degenerate_fourgonal_frame,
         _listed_family,
         _object_family,
         _listed_type,

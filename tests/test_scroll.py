@@ -4,9 +4,17 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_fibre_conic, oracle_scroll_curve_points, oracle_zeros
-from scroll_helpers import rolling_syzygy, scroll_points, top_row_forms
+from scroll_helpers import (
+    lifted_multiple,
+    rolling_syzygy,
+    scroll_points,
+    section_blocks,
+    top_row_forms,
+)
 
 from syzlab.errors import (
     DegenerateScrollError,
@@ -19,17 +27,15 @@ from syzlab.ring import GradedRing
 from syzlab.scroll import (
     PAIRS,
     ScrollFrame,
-    binary_monomial,
     fourgonal_curve,
-    lift_section,
-    random_section,
-    restrict_quadrics,
+    lift_index,
     restriction_image,
+    restriction_targets,
     scroll_minors,
     scrollar_bidegrees,
     section_dim,
-    section_from_coords,
-    twist_down,
+    section_dims,
+    shift_index,
 )
 
 P = DEFAULT_PRIME
@@ -102,13 +108,12 @@ def test_lift_of_a_pure_monomial_section():
     frame = ScrollFrame((1, 1, 1))
     ring = GradedRing(6, P)
     dims = [frame.k[i] + frame.k[j] + 1 for i, j in PAIRS]
+    assert section_dims(frame, 0) == dims
     coords = np.zeros(sum(dims), dtype=np.int64)
     coords[2] = 1  # block (x1,x1), alpha = 2
-    sec = section_from_coords(frame, 0, coords)
-    quad = lift_section(ring, sec)
     want = np.zeros(ring.dim(2), dtype=np.int64)
     want[ring.index_of((2, 0, 0, 0, 0, 0))] = 1
-    assert np.array_equal(quad.coeffs, want)
+    assert np.array_equal(lifted_multiple(frame, ring, coords, 0, 0), want)
 
 
 def test_lift_then_restrict_is_identity():
@@ -117,19 +122,42 @@ def test_lift_then_restrict_is_identity():
         frame = ScrollFrame(k)
         ring = GradedRing(frame.genus, P)
         for _ in range(5):
-            sec = random_section(frame, 0, P, rng)
-            quad = lift_section(ring, sec)
-            back = restrict_quadrics(frame, ring, quad.coeffs)[0]
-            assert np.array_equal(back, np.concatenate(sec.blocks) % P)
+            coords = rng.integers(0, P, size=section_dim(frame, 0), dtype=np.int64)
+            quad = lifted_multiple(frame, ring, coords, 0, 0)
+            back = np.zeros(section_dim(frame, 0), dtype=np.int64)
+            np.add.at(back, restriction_targets(frame, ring), quad)
+            assert np.array_equal(back % P, coords)
+            image = restriction_image(frame, ring, Subspace.from_rows(quad, ring.dim(2), P))
+            assert image == Subspace.from_rows(coords, section_dim(frame, 0), P)
 
 
-def test_lift_of_twisted_section_is_refused():
-    frame = ScrollFrame((2, 2, 2))
-    ring = GradedRing(9, P)
-    rng = np.random.default_rng(34)
-    sec = random_section(frame, 2, P, rng)
-    with pytest.raises(ValueError):
-        lift_section(ring, sec)
+# sorted frames with a 2-row scroll matrix (k2 >= 1) up to genus 12
+FRAMES = (
+    st.lists(st.integers(0, 9), min_size=3, max_size=3)
+    .map(sorted)
+    .filter(lambda k: k[1] >= 1 and sum(k) <= 9)
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(k=FRAMES)
+def test_index_maps_respect_the_section_layout(k):
+    frame = ScrollFrame(tuple(k))
+    g = frame.genus
+    ring = GradedRing(g, P)
+    # restricting a lift gives back the section
+    targets = restriction_targets(frame, ring)
+    assert np.array_equal(targets[lift_index(frame, ring)], np.arange(4 * g - 6))
+    starts = np.cumsum([0] + section_dims(frame, 0))
+    twist = 0
+    while section_dim(frame, twist):
+        pair_of = np.repeat(np.arange(len(PAIRS)), section_dims(frame, twist))
+        for i in range(twist + 1):
+            shifted = shift_index(frame, twist, i)
+            assert len(np.unique(shifted)) == len(shifted) == section_dim(frame, twist)
+            # every coordinate stays inside its pair's twist-0 block
+            assert np.array_equal(np.searchsorted(starts, shifted, side="right") - 1, pair_of)
+        twist += 1
 
 
 def test_alternative_split_lift_differs_by_a_minor():
@@ -155,22 +183,31 @@ def test_alternative_split_lift_differs_by_a_minor():
 
 
 def test_lift_evaluates_like_the_section_on_scroll_points():
+    # the lift of s^i t^(lam-i) * v, for v of every twist lam, evaluates at
+    # scroll points as s^i t^(lam-i) times v's fibre conic
     frame = ScrollFrame((1, 2, 3))
     g = frame.genus
     ring = GradedRing(g, P)
     rng = np.random.default_rng(35)
-    sec = random_section(frame, 0, P, rng)
-    quad = lift_section(ring, sec)
-    for _ in range(20):
-        s, t = int(rng.integers(0, P)), int(rng.integers(1, P))
-        x = [int(c) for c in rng.integers(0, P, size=3)]
-        pt = np.array(
-            [x[i] * pow(s, a, P) * pow(t, frame.k[i] - a, P) % P
-             for v in range(g) for i, a in [frame.ruling_of(v)]],
-            dtype=np.int64,
-        )
-        on_fibre = np.array(x) @ np.array(oracle_fibre_conic(sec.blocks, s, t, P)) % P @ x % P
-        assert int(ring.evaluate_monomials(2, pt)[0] @ quad.coeffs % P) == on_fibre
+    twist = 0
+    while section_dim(frame, twist):
+        coords = rng.integers(0, P, size=section_dim(frame, twist), dtype=np.int64)
+        blocks = section_blocks(frame, twist, coords)
+        for i in range(twist + 1):
+            quad = lifted_multiple(frame, ring, coords, twist, i)
+            for _ in range(5):
+                s, t = int(rng.integers(0, P)), int(rng.integers(1, P))
+                x = [int(c) for c in rng.integers(0, P, size=3)]
+                pt = np.array(
+                    [x[r] * pow(s, a, P) * pow(t, frame.k[r] - a, P) % P
+                     for v in range(g) for r, a in [frame.ruling_of(v)]],
+                    dtype=np.int64,
+                )
+                conic = np.array(oracle_fibre_conic(blocks, s, t, P))
+                on_fibre = np.array(x) @ conic % P @ x % P
+                want = pow(s, i, P) * pow(t, twist - i, P) * on_fibre % P
+                assert int(ring.evaluate_monomials(2, pt)[0] @ quad % P) == want
+        twist += 1
 
 
 # -- rolling factors ----------------------------------------------------------
@@ -185,8 +222,8 @@ def test_rolling_syzygy_is_a_syzygy_involving_both_quadrics():
     rng = np.random.default_rng(37)
     model = fourgonal_curve(frame, 2, 2, seed=37)
     quadrics = model.quadrics
-    sec = random_section(frame, 1, P, rng)
-    quad = lift_section(ring, twist_down(sec, binary_monomial(1, 1), P)).coeffs
+    sec = rng.integers(0, P, size=section_dim(frame, 1), dtype=np.int64)
+    quad = lifted_multiple(frame, ring, sec, 1, 1)
     a_forms = top_row_forms(frame, ring, quad)  # s * sec lies in the top row
     assert a_forms is not None
     alpha = rng.integers(0, P, size=g - 3)
@@ -309,8 +346,8 @@ def test_extremal_models_past_genus_9_are_refused(g):
         fourgonal_curve(frame, g - 5, 0, seed=46)
     assert str(frame.k) in str(refused.value) and f"2H - {g - 5}F" in str(refused.value)
     rng = np.random.default_rng(46 + g)
-    sec = random_section(frame, g - 5, P, rng)
+    sec = rng.integers(0, P, size=section_dim(frame, g - 5), dtype=np.int64)
     for _ in range(20):
-        st = (int(rng.integers(0, P)), int(rng.integers(0, P)))
-        upper = np.array(oracle_fibre_conic(sec.blocks, *st, P))
+        st_point = (int(rng.integers(0, P)), int(rng.integers(0, P)))
+        upper = np.array(oracle_fibre_conic(section_blocks(frame, g - 5, sec), *st_point, P))
         assert _det3(upper + upper.T) % P == 0
