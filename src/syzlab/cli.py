@@ -120,13 +120,14 @@ def _dispatch(args: argparse.Namespace) -> int:
         report = analyze_model(model, betti_max_p=args.betti_max_p)
         save_report(report, args.out)
         print(
-            f"kappa21 = {report['kappa21']}  dim_W = {report['dim_W']}  "
-            f"verdict = {report['verdict']}"
+            f"{'PASS' if report['passed'] else 'FAIL'} kappa21 = {report['kappa21']}  "
+            f"dim_W = {report['dim_W']}  verdict = {report['verdict']}  "
+            f"expected = {report['expected_verdict']}"
         )
         if report["betti"] is not None:
             print(render_betti(report["betti"]))
         print(f"wrote {args.out}")
-        return 0
+        return 0 if report["passed"] else 1
 
     if args.command == "verify-theorem":
         prime = args.prime if args.prime is not None else _default_prime()

@@ -191,7 +191,9 @@ def _sweep_models(genus: int, prime: int, seed: int, trial: int):
         )
     out.append((BIELLIPTIC, bielliptic_curve(genus, base + 2, prime=prime)))
     if genus <= 10:
-        out.append((DELPEZZO, delpezzo_curve(genus, base + 3, prime=prime)))
+        # the plane-cubic model is a veronese one at genus 10
+        model = delpezzo_curve(genus, base + 3, prime=prime)
+        out.append((model.family, model))
     return out
 
 

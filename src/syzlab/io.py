@@ -128,8 +128,9 @@ _FAMILY_PARAMS = {
 
 
 def _check_family(family: str, genus: int, prime: int, params: dict) -> None:
-    """Refuse a genus or params the family's constructor would refuse."""
+    """Refuse a prime, genus or params the family's constructor would refuse."""
     try:
+        check_prime(prime)
         check_genus(family, genus)
         if family == FOURGONAL:
             check_twists(ScrollFrame.of_genus(params["frame"], genus), params["a"], params["b"])
@@ -161,8 +162,7 @@ def model_from_dict(data: dict) -> CurveModel:
     for key in ("genus", "prime", "seed"):
         if type(data[key]) is not int:  # bool is an int subclass
             raise ModelInconsistencyError(f"{key} must be an integer, got {data[key]!r}")
-    genus = data["genus"]
-    prime = check_prime(data["prime"])
+    genus, prime = data["genus"], data["prime"]
     params = data.get("params", {})
     if not isinstance(params, dict):
         raise ModelInconsistencyError(f"params must be a JSON object, got {type(params).__name__}")

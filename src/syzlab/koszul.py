@@ -213,13 +213,13 @@ class _KoszulComplex:
         return dom - self.rank_of(p_idx, q_idx) - self.rank_of(p_idx + 1, q_idx - 1)
 
     def _differential(self, p_idx: int, q_idx: int) -> np.ndarray:
-        """Matrix of d_{p,q}, rows = domain."""
+        """Matrix of d_{p,q}, rows = domain, as int32 residues (p < 2**25)."""
         g, prime = self.ring.num_vars, self.ring.prime
         acts = self.actions(q_idx)
         _, m, n = acts.shape
         dom_sets = list(combinations(range(g), p_idx))
         cod_sets = {T: i for i, T in enumerate(combinations(range(g), p_idx - 1))}
-        mat = np.zeros((len(dom_sets) * m, len(cod_sets) * n), dtype=np.int64)
+        mat = np.zeros((len(dom_sets) * m, len(cod_sets) * n), dtype=np.int32)
         for i, T in enumerate(dom_sets):
             for s, v in enumerate(T):
                 # each (T, T minus one index) block is written exactly once
@@ -285,14 +285,20 @@ def betti_table(
 def _check_identities(entries: np.ndarray, g: int) -> None:
     """Green duality kappa_{p,q} = kappa_{g-2-p,3-q} on every pair inside the
     grid, and sum_p (-1)^p kappa_{p,k-p} = sum_p (-1)^p C(g,p) h(k-p) on every
-    diagonal k inside it, h the canonical Hilbert function."""
+    diagonal k inside it, h the canonical Hilbert function.
+
+    A cell in a column p >= g - 1 is dual to a column p < 0, so it must be
+    zero.  For odd g, a rank error in d_{(g-1)/2,1} moves the self-dual pair
+    kappa_{(g-1)/2,1}, kappa_{(g-3)/2,2} together: duality still holds and
+    their diagonal sums cancel, so no identity here sees it.
+    """
     p_max = entries.shape[1] - 1
 
     def kappa(p_idx: int, q_idx: int) -> Optional[int]:
         if 0 <= p_idx <= p_max:
             return int(entries[q_idx, p_idx])
-        # columns p >= g - 1 are dual to p < 0, hence zero
-        return 0 if p_idx >= g - 1 else None
+        # columns p < 0 are empty, and columns p >= g - 1 are dual to them
+        return 0 if p_idx < 0 or p_idx >= g - 1 else None
 
     for (q_idx, p_idx), value in np.ndenumerate(entries):
         dual = kappa(g - 2 - p_idx, 3 - q_idx)

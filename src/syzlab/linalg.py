@@ -1,15 +1,20 @@
 """Exact dense linear algebra over a prime field GF(p).
 
-Matrices are numpy int64 arrays whose entries are canonical residues in
-[0, p).  The prime is always passed explicitly.  Every operation reduces
-mod p after at most one product or one dot product of length < 2**13, so
-with p < 2**25 nothing ever exceeds 2**63 and int64 arithmetic is exact.
+Entries are canonical residues in [0, p); the prime is always passed
+explicitly.  With p < 2**25 a residue fits int32 and a product of two plus
+a residue fits int64, so storage is int32 and arithmetic int64.  The one
+elimination holds its working matrix in int32, built from any input
+without a full-size int64 temporary, and works in int64 only on the
+pivot row and on the update of the rows each step gathers.  Bases and
+kernels keep int64 rows; every other operation reduces mod p after at
+most one product or one dot product of length < 2**13, so nothing ever
+exceeds 2**63.
 
 Row reduction is deterministic: pivots are chosen in the leftmost nonzero
 column, ties broken by smallest row index, so identical input bytes give
 identical output bytes on every platform.  ``rref`` and ``rank`` share one
 loop; each step updates only the columns from the pivot on, and ``rank``
-clears below pivots only.  The int64 bound above is unchanged.
+clears below pivots only.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errors import DimensionMismatchError
 
 DEFAULT_PRIME = 1000003
 
-# Exclusive upper bound for the modulus; see overflow analysis above.
+# Exclusive upper bound for the modulus: residues fit int32, products int64.
 PRIME_BOUND = 2**25
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -60,7 +65,7 @@ def check_prime(p: int) -> int:
     if p == 2 or not is_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")
     if p >= PRIME_BOUND:
-        raise ValueError(f"modulus {p} must be below {PRIME_BOUND} (int64 safety)")
+        raise ValueError(f"modulus {p} must be below {PRIME_BOUND} (int32 residues)")
     return p
 
 
@@ -72,18 +77,24 @@ def inverse_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
-def _as_matrix(mat, p: int) -> np.ndarray:
-    a = np.asarray(mat, dtype=np.int64)
+def _residues(mat, p: int) -> np.ndarray:
+    """A fresh int32 matrix of mat mod p; a 1-D input is one row.
+
+    The remainder is taken in int64 and cast chunk by chunk into the int32
+    result, so no full-size int64 temporary is made.
+    """
+    a = np.asarray(mat)
     if a.ndim == 1:
         a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={a.ndim}")
-    return a % p
+    out = np.empty(a.shape, dtype=np.int32)
+    return np.remainder(a, p, out=out, dtype=np.int64, casting="unsafe")
 
 
 def _echelon(mat, p: int, reduced: bool) -> tuple[int, np.ndarray, list[int]]:
     """Rows r.. are zero left of column c, so each step touches columns c: only."""
-    a = _as_matrix(mat, p)  # `% p` made a fresh array: the input is never written
+    a = _residues(mat, p)  # the input is never written
     nrows, ncols = a.shape
     pivot_cols: list[int] = []
     r = 0
@@ -96,18 +107,20 @@ def _echelon(mat, p: int, reduced: bool) -> tuple[int, np.ndarray, list[int]]:
         i = r + int(nz[0])
         if i != r:
             a[[r, i], c:] = a[[i, r], c:]
-        piv = int(a[r, c])
-        if piv != 1:
-            a[r, c:] = a[r, c:] * inverse_mod(piv, p) % p
+        pivot = a[r, c:].astype(np.int64)
+        if pivot[0] != 1:
+            pivot = pivot * inverse_mod(int(pivot[0]), p) % p
+            a[r, c:] = pivot
         rows = r + nz[1:]  # the nonzeros below the pivot, after the swap
         if reduced:
             rows = np.concatenate([np.flatnonzero(a[:r, c]), rows])
         if rows.size:
-            # in-place rank-1 update of one gathered block; stays within int64
-            block = a[rows, c:]
-            block -= np.outer(block[:, 0], a[r, c:])
-            block %= p
-            a[rows, c:] = block
+            # rank-1 update of the gathered rows, formed in int64 since the
+            # pivot row is: x - a * b lies in (-(p-1)**2, p), inside int64
+            update = np.outer(a[rows, c], pivot)
+            np.subtract(a[rows, c:], update, out=update)
+            update %= p
+            a[rows, c:] = update
         pivot_cols.append(c)
         r += 1
     return r, a, pivot_cols
@@ -116,9 +129,10 @@ def _echelon(mat, p: int, reduced: bool) -> tuple[int, np.ndarray, list[int]]:
 def rref(mat, p: int) -> tuple[int, np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p).
 
-    Returns (rank, reduced, pivot_cols).  ``reduced`` has unit pivots with
-    zeros above and below; rows below ``rank`` are zero.  Deterministic
-    pivoting: leftmost column first, smallest row index on ties.
+    Returns (rank, reduced, pivot_cols).  ``reduced`` is a fresh int32
+    array with unit pivots and zeros above and below; rows below ``rank``
+    are zero.  Deterministic pivoting: leftmost column first, smallest row
+    index on ties.  The input is never written.
     """
     return _echelon(mat, p, reduced=True)
 
@@ -154,7 +168,7 @@ class Subspace:
                 f"rows have length {arr.shape[1]}, ambient dimension is {ambient_dim}"
             )
         rk, red, piv = rref(arr, prime)
-        basis = red[:rk].copy()
+        basis = red[:rk].astype(np.int64)
         basis.setflags(write=False)
         return cls(ambient_dim, prime, basis, tuple(piv))
 
@@ -232,9 +246,8 @@ def kernel_basis(mat, p: int) -> Subspace:
     of free column f is nonzero only at f and at pivot columns left of f,
     so reversed back and sorted these vectors already are the echelon basis.
     """
-    a = _as_matrix(mat, p)
-    ncols = a.shape[1]
-    rk, red, piv = rref(a[:, ::-1], p)
+    rk, red, piv = rref(np.atleast_2d(mat)[:, ::-1], p)
+    ncols = red.shape[1]
     is_free = np.ones(ncols, dtype=bool)
     is_free[piv] = False
     free = np.flatnonzero(is_free)

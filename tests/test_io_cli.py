@@ -11,6 +11,7 @@ from oracles import oracle_parse_ideal_text
 from syzlab.cli import main
 from syzlab.errors import ModelInconsistencyError
 from syzlab.harness import (
+    _sweep_models,
     analyze_model,
     construct_model,
     default_split,
@@ -29,7 +30,7 @@ from syzlab.io import (
     save_model,
     strip_timings,
 )
-from syzlab.linalg import DEFAULT_PRIME, Subspace
+from syzlab.linalg import DEFAULT_PRIME, PRIME_BOUND, Subspace
 from syzlab.ring import GradedRing
 from syzlab.scroll import ScrollFrame, fourgonal_curve
 from syzlab.surfaces import bielliptic_curve, delpezzo_curve
@@ -213,6 +214,38 @@ def test_theorem_sweep_small_window():
         theorem_sweep(4, 6)
 
 
+def test_sweep_labels_each_model_by_its_family():
+    # the plane-cubic model of genus 10 is a veronese one
+    cell = _sweep_models(10, 101, 0, 0)
+    assert [label for label, _ in cell] == ["fourgonal-split", "bielliptic", "veronese"]
+    assert [model.family for _, model in cell] == ["fourgonal", "bielliptic", "veronese"]
+    records, ok = theorem_sweep(10, 10, prime=101)
+    assert ok and [r["family"] for r in records] == ["bielliptic", "fourgonal-split", "veronese"]
+
+
+def test_cli_analyze_exits_1_on_a_failed_record(tmp_path, capsys):
+    # params (a, b) = (3, 0) predict a surface; the quadrics are those of the
+    # (2, 1) model of the same frame, whose syzygies see the whole curve
+    frame = (1, 2, 2)
+    data = model_to_dict(construct_model("fourgonal", genus=8, frame=frame, a=3, b=0, seed=96))
+    other = construct_model("fourgonal", genus=8, frame=frame, a=2, b=1, seed=96)
+    data["quadrics"] = model_to_dict(other)["quadrics"]
+    data["surface_quadrics"] = None
+    model_path, report_path = tmp_path / "m.json", tmp_path / "r.json"
+    model_path.write_text(json.dumps(data))
+    with pytest.warns(UserWarning, match="disagree"):
+        code = main(["analyze", str(model_path), "--out", str(report_path)])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL ") and "verdict = EqualsCurve  expected = ProperSurface" in out
+    assert json.loads(report_path.read_text())["passed"] is False
+
+    save_model(other, model_path)
+    assert main(["analyze", str(model_path), "--out", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS ") and "verdict = EqualsCurve  expected = EqualsCurve" in out
+
+
 def test_cli_construct_analyze_export(tmp_path, capsys):
     model_path = tmp_path / "m.json"
     report_path = tmp_path / "r.json"
@@ -328,6 +361,14 @@ def _null_genus(data):
 
 def _null_prime(data):
     data["prime"] = None
+
+
+def _prime_nine(data):
+    data["prime"] = 9
+
+
+def _prime_past_the_bound(data):
+    data["prime"] = PRIME_BOUND + 35  # the least prime above 2**25
 
 
 def _null_seed(data):
@@ -509,6 +550,8 @@ def _degenerate_fourgonal_frame(data):
         _surface_not_in_curve_ideal,
         _null_genus,
         _null_prime,
+        _prime_nine,
+        _prime_past_the_bound,
         _null_seed,
         _scalar_quadrics,
         _null_params,

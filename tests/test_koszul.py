@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -26,7 +27,7 @@ from syzlab.koszul import (
     syz2_span,
     syzygy_kernel,
 )
-from syzlab.linalg import DEFAULT_PRIME
+from syzlab.linalg import DEFAULT_PRIME, rank
 from syzlab.ring import GradedRing
 from syzlab.scroll import ScrollFrame, fourgonal_curve
 from syzlab.surfaces import bielliptic_curve, delpezzo_curve, genus5_intersection
@@ -240,6 +241,48 @@ def test_betti_table_checks_duality_and_euler_characteristic(monkeypatch):
         betti_table(ring, model.quadrics, expected_genus=6)
     # without a genus to check against, the grid comes back as computed
     assert betti_table(ring, model.quadrics).entries[1, 2] == _kappa21(6) + 1
+
+
+@pytest.mark.parametrize("q_idx", [0, 1, 2])
+def test_betti_table_requires_zero_columns_past_g_minus_2(monkeypatch, q_idx):
+    # one rank too small on d_{6,q}: wedge^6 V (x) B_q -> wedge^5 V (x) B_{q+1}
+    # raises kappa_{6,q} and kappa_{5,q+1}; both are dual to negative columns
+    model = _genus6_model()
+    build = koszul._KoszulComplex._differential
+    built = []
+
+    def recording_differential(self, p_idx, q):
+        built.append((p_idx, q))
+        return build(self, p_idx, q)
+
+    def rank_one_short(mat, p):
+        return linalg.rank(mat, p) - (built[-1] == (6, q_idx))
+
+    monkeypatch.setattr(koszul._KoszulComplex, "_differential", recording_differential)
+    monkeypatch.setattr(koszul, "rank", rank_one_short)
+    with pytest.raises(ModelInconsistencyError, match=f"kappa_6,{q_idx} = 1 "):
+        betti_table(GradedRing(6, P), model.quadrics, p_max=6, expected_genus=6)
+    assert built.count((6, q_idx)) == 1
+
+
+def test_differential_and_its_rank_fit_in_one_and_a_half_int64_copies():
+    """The largest g = 7 differential, d_{4,3}: 1050 x 1470.
+
+    Its bytes plus the tracemalloc peak of ranking it, relative to one
+    int64 copy: 1.19x with int32 storage, 2.20x when both the differential
+    and rank's working matrix are int64.
+    """
+    model = construct_model("fourgonal", genus=7, seed=0)
+    complex_ = koszul._KoszulComplex(GradedRing(7, P), model.quadrics, 10**7)
+    mat = complex_._differential(4, 3)
+    assert mat.shape == (1050, 1470)
+    tracemalloc.start()
+    try:
+        rank(mat, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (mat.nbytes + peak) / (8 * mat.size) < 1.5
 
 
 def test_betti_table_rejects_wrong_hilbert_function():

@@ -95,16 +95,16 @@ def test_rref_low_rank_structured(p):
 
 
 def test_rank_and_rref_peak_memory():
-    """tracemalloc peak of rank and rref relative to the input's bytes.
+    """tracemalloc peak of rank and rref relative to the int64 input's bytes.
 
     Measured at p = 1000003 on 400x500 matrices with 3% nonzeros.  A random
-    one fills in, so the first, widest updates set the peak: updating whole
-    rows peaks at 3.09x, updating the trailing columns only at 2.15x (rank)
-    and 2.51x (rref), hence the bound 2.75.  A banded one stays sparse, so
-    the working matrix sets the peak: 1.01x (rank) and 1.60x (rref), against
-    2.0x when the input is copied once more after the reduction mod p,
-    hence the bound 1.8.  (The real 1050x1470 g = 7 differential peaks at
-    2.00x with full rows and a second copy, 1.20x and 1.38x without.)
+    one fills in, so the first, widest updates set the peak: with an int32
+    working matrix and one int64 update block it is 1.65x (rank) and 1.99x
+    (rref), against 2.15x and 2.51x for an int64 working matrix and 3.09x
+    for updates of whole rows, hence the bound 2.1.  A banded one stays
+    sparse, so the working matrix sets the peak: 0.54x (rank) and 1.10x
+    (rref), against 1.01x and 1.60x for an int64 working matrix, hence the
+    bound 1.25.  (test_koszul bounds the real g = 7 differential d_{4,3}.)
     """
     rng = np.random.default_rng(41)
     p, n, m = 1000003, 400, 500
@@ -112,7 +112,7 @@ def test_rank_and_rref_peak_memory():
     banded = np.zeros((n, m), dtype=np.int64)
     band = (np.arange(n) * (m - 15) // n)[:, None] + np.arange(15)
     banded[np.arange(n)[:, None], band] = rng.integers(1, p, size=band.shape)
-    for mat, bound in ((scattered, 2.75), (banded, 1.8)):
+    for mat, bound in ((scattered, 2.1), (banded, 1.25)):
         for fn in (rank, rref):
             tracemalloc.start()
             try:
@@ -121,6 +121,47 @@ def test_rank_and_rref_peak_memory():
             finally:
                 tracemalloc.stop()
             assert peak / mat.nbytes < bound, (fn.__name__, peak / mat.nbytes)
+
+
+def test_prime_bound_keeps_residues_in_int32_and_updates_in_int64():
+    # the elimination stores residues in int32 and forms r - a * b in int64
+    assert PRIME_BOUND - 1 <= np.iinfo(np.int32).max
+    assert (PRIME_BOUND - 1) ** 2 + PRIME_BOUND < 2**63
+    assert check_prime(ORACLE_PRIMES[-1]) == ORACLE_PRIMES[-1] == 33554393
+
+
+def test_rref_matches_oracle_where_every_product_overflows_int32():
+    # entries in [p - 3, p): each product of two exceeds 2**31, so an update
+    # multiplied in the storage width would wrap
+    p = ORACLE_PRIMES[-1]
+    assert (p - 3) ** 2 > np.iinfo(np.int32).max
+    rng = np.random.default_rng(12)
+    for n, m in [(1, 6), (5, 8), (12, 12), (9, 4), (24, 30)]:
+        mat = rng.integers(p - 3, p, size=(n, m))
+        _assert_matches_oracle(mat, p)
+        _assert_matches_oracle(mat.astype(np.int32), p)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_elimination_leaves_its_input_alone_and_takes_lists_and_rows(dtype):
+    p = 1000003
+    rng = np.random.default_rng(13)
+    mat = rng.integers(-p, 2 * p, size=(5, 8)).astype(dtype)  # not yet reduced
+    mat[3] = 2 * mat[1] - mat[0] + p  # rank 4 once reduced
+    before = mat.copy()
+    r, red, piv = rref(mat, p)
+    ker = kernel_basis(mat, p)
+    assert r == rank(mat, p) == 4 and ker.dim == 4
+    assert np.array_equal(mat, before) and mat.dtype == dtype
+    assert not (mat.astype(np.int64) @ ker.basis.T % p).any()
+    listed = mat.tolist()
+    assert rank(listed, p) == r and kernel_basis(listed, p) == ker
+    assert np.array_equal(rref(listed, p)[1], red) and rref(listed, p)[2] == piv
+    row = mat[2]
+    assert rank(row, p) == rank(row.tolist(), p) == 1
+    assert np.array_equal(rref(row, p)[1], rref(mat[2:3], p)[1])
+    assert kernel_basis(row, p) == kernel_basis(row.tolist(), p) == kernel_basis(mat[2:3], p)
+    assert np.array_equal(mat, before)
 
 
 def test_rref_is_idempotent():
