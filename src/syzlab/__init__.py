@@ -20,16 +20,12 @@ from .errors import (
 from .harness import (
     analyze_model,
     construct_model,
+    load_model,
     recovered_bidegrees,
     render_betti,
     theorem_sweep,
 )
-from .io import (
-    export_ideal_text,
-    load_model,
-    model_digest,
-    save_model,
-)
+from .io import export_ideal_text, model_digest, save_model
 from .koszul import (
     BettiTable,
     ClassificationRecord,

@@ -11,16 +11,12 @@ from .errors import SyzlabError
 from .harness import (
     analyze_model,
     construct_model,
+    load_model,
     render_betti,
     sweep_summary,
     theorem_sweep,
 )
-from .io import (
-    export_ideal_text,
-    load_model,
-    save_model,
-    save_report,
-)
+from .io import export_ideal_text, save_model, save_report
 from .linalg import DEFAULT_PRIME
 from .models import CURVE_FAMILIES
 

@@ -204,12 +204,6 @@ class Subspace:
     def contains(self, vec) -> bool:
         return not self.reduce(vec).any()
 
-    def contains_space(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        if other.dim == 0:
-            return True
-        return not self.reduce(other.basis).any()
-
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
         rows = np.vstack([self.basis, other.basis])

@@ -2,9 +2,10 @@
 
 Deliberately naive and numpy-free so a bug in the vectorized library path
 cannot hide in shared code: plain list-of-list Gaussian elimination over
-GF(p), a brute-force polynomial evaluator, a sampler of elliptic-curve
-points, brute-force enumerations of the GF(p)-points of every curve family
-and a parser of the exported ideal text.
+GF(p) and a containment test of subspaces by rank, a brute-force
+polynomial evaluator, a sampler of elliptic-curve points, brute-force
+enumerations of the GF(p)-points of every curve family and a parser of
+the exported ideal text.
 """
 
 from __future__ import annotations
@@ -56,6 +57,18 @@ def oracle_kernel_dim(rows: list[list[int]], p: int) -> int:
 def oracle_solve_membership(basis: list[list[int]], vec: list[int], p: int) -> bool:
     """Is vec in the row span of basis?  Decided by a rank comparison."""
     return oracle_rank(basis, p) == oracle_rank(basis + [vec], p)
+
+
+def contains_space(big, small) -> bool:
+    """Does the Subspace big contain the Subspace small?  Decided by a rank
+    comparison on their basis rows, as plain integer lists."""
+    if (big.ambient_dim, big.prime) != (small.ambient_dim, small.prime):
+        raise ValueError(
+            f"subspaces live in GF({big.prime})^{big.ambient_dim} vs "
+            f"GF({small.prime})^{small.ambient_dim}"
+        )
+    rows = big.basis.tolist()
+    return oracle_rank(rows, big.prime) == oracle_rank(rows + small.basis.tolist(), big.prime)
 
 
 def oracle_eval_quadric(coeffs, exponents, point, p: int) -> int:

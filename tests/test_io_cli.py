@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import time
+import warnings
 from math import comb
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 from oracles import oracle_parse_ideal_text
 
+import syzlab.harness
 from syzlab.cli import main
 from syzlab.errors import ModelInconsistencyError
 from syzlab.harness import (
@@ -15,6 +19,8 @@ from syzlab.harness import (
     analyze_model,
     construct_model,
     default_split,
+    load_model,
+    model_from_dict,
     recovered_bidegrees,
     render_betti,
     sweep_summary,
@@ -22,9 +28,7 @@ from syzlab.harness import (
 )
 from syzlab.io import (
     export_ideal_text,
-    load_model,
     model_digest,
-    model_from_dict,
     model_to_dict,
     polynomial_string,
     save_model,
@@ -113,6 +117,34 @@ def test_one_sided_model_bytes_are_pinned(frame, prime):
     assert model_digest(model) == PINNED_ONE_SIDED[frame, prime]
 
 
+# every constructor, each at a small, a middle and the default prime: a
+# saved model loads back as itself, through the loader's rebuild
+ROUND_TRIP_MODELS = {
+    "genus5": dict(family="genus5"),
+    "fourgonal": dict(family="fourgonal", genus=8),
+    "fourgonal-one-sided": dict(family="fourgonal", genus=7, a=2, b=0),
+    "bielliptic": dict(family="bielliptic", genus=8),
+    "delpezzo": dict(family="delpezzo", genus=8),
+    "veronese": dict(family="veronese", genus=10),
+}
+
+
+@pytest.mark.parametrize("prime", [7, 101, P])
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_MODELS))
+def test_saved_models_load_as_their_rebuild(tmp_path, name, prime):
+    model = construct_model(**ROUND_TRIP_MODELS[name], prime=prime, seed=3)
+    path = tmp_path / "m.json"
+    save_model(model, path)
+    back = load_model(path)
+    assert model_digest(back) == model_digest(model)
+    for space, back_space in [(model.quadrics, back.quadrics),
+                              (model.surface_quadrics, back.surface_quadrics)]:
+        assert (space is None) == (back_space is None)
+        if space is not None:
+            assert back_space.basis.tobytes() == space.basis.tobytes()
+            assert back_space.pivot_cols == space.pivot_cols
+
+
 def test_analysis_reports_are_deterministic_up_to_timings():
     model = construct_model("fourgonal", genus=8, seed=85)
     r1 = strip_timings(analyze_model(model))
@@ -175,6 +207,20 @@ def test_default_split_and_recovery():
     assert recovered_bidegrees(model) == (3, 1)
 
 
+def test_stored_twists_that_the_quadrics_lack_fail_the_record():
+    # a model file cannot carry this (its params would not rebuild its
+    # quadrics), but a library caller can
+    model = construct_model("fourgonal", genus=9, a=3, b=1, seed=87)
+    assert analyze_model(model)["passed"] is True
+    relabelled = dataclasses.replace(model, params={**model.params, "a": 2, "b": 2})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analyze_model(relabelled)
+    assert report["bidegrees"] == [3, 1]
+    assert report["verdict"] == report["expected_verdict"] == "EqualsCurve"
+    assert report["passed"] is False
+
+
 def test_construct_model_validation():
     with pytest.raises(ValueError):
         construct_model("fourgonal")  # genus required
@@ -223,9 +269,9 @@ def test_sweep_labels_each_model_by_its_family():
     assert ok and [r["family"] for r in records] == ["bielliptic", "fourgonal-split", "veronese"]
 
 
-def test_cli_analyze_exits_1_on_a_failed_record(tmp_path, capsys):
+def test_cli_analyze_exits_1_on_a_failed_record(tmp_path, capsys, monkeypatch):
     # params (a, b) = (3, 0) predict a surface; the quadrics are those of the
-    # (2, 1) model of the same frame, whose syzygies see the whole curve
+    # (2, 1) model of the same frame: the file is not its own rebuild
     frame = (1, 2, 2)
     data = model_to_dict(construct_model("fourgonal", genus=8, frame=frame, a=3, b=0, seed=96))
     other = construct_model("fourgonal", genus=8, frame=frame, a=2, b=1, seed=96)
@@ -233,17 +279,28 @@ def test_cli_analyze_exits_1_on_a_failed_record(tmp_path, capsys):
     data["surface_quadrics"] = None
     model_path, report_path = tmp_path / "m.json", tmp_path / "r.json"
     model_path.write_text(json.dumps(data))
-    with pytest.warns(UserWarning, match="disagree"):
-        code = main(["analyze", str(model_path), "--out", str(report_path)])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert out.startswith("FAIL ") and "verdict = EqualsCurve  expected = ProperSurface" in out
-    assert json.loads(report_path.read_text())["passed"] is False
+    assert main(["analyze", str(model_path), "--out", str(report_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "'quadrics'" in err
+    assert not report_path.exists()
 
     save_model(other, model_path)
     assert main(["analyze", str(model_path), "--out", str(report_path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS ") and "verdict = EqualsCurve  expected = EqualsCurve" in out
+
+    # a record that fails, as a wrong verdict would make it
+    classify = syzlab.harness.classify_theorem
+    monkeypatch.setattr(
+        syzlab.harness, "classify_theorem",
+        lambda model: dataclasses.replace(
+            classify(model), expected_verdict="ProperSurface", passed=False
+        ),
+    )
+    assert main(["analyze", str(model_path), "--out", str(report_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL ") and "verdict = EqualsCurve  expected = ProperSurface" in out
+    assert json.loads(report_path.read_text())["passed"] is False
 
 
 def test_cli_construct_analyze_export(tmp_path, capsys):
@@ -540,6 +597,47 @@ def _degenerate_fourgonal_frame(data):
     _swap_in(data, construct_model("fourgonal", genus=7, seed=94), "frame", [0, 0, 4])
 
 
+# Files that lie: every field is well formed, but the params, quadrics or
+# seed are not those of one model.  Each is refused for the first field
+# that differs from the rebuild of its family, genus, prime and seed.
+def _delpezzo_relabelled_bielliptic(data):
+    _relabelled(data, construct_model("delpezzo", genus=8, seed=94), "bielliptic",
+                {"a4": 1, "a6": 1})
+
+
+def _bielliptic_quadrics_of_another_seed(data):
+    data.clear()
+    data.update(model_to_dict(bielliptic_curve(7, seed=95)))
+    other = model_to_dict(bielliptic_curve(7, seed=96))
+    data["quadrics"], data["surface_quadrics"] = other["quadrics"], other["surface_quadrics"]
+
+
+def _moved_base_point(data):
+    point = data["params"]["base_points"][0]
+    point[0] = (point[0] + 1) % data["prime"]
+
+
+def _fourgonal_quadrics_of_another_seed(data):
+    data.clear()
+    data.update(model_to_dict(construct_model("fourgonal", genus=7, seed=94)))
+    data["quadrics"] = model_to_dict(construct_model("fourgonal", genus=7, seed=95))["quadrics"]
+
+
+def _fourgonal_q1_blocks_of_another_seed(data):
+    other = construct_model("fourgonal", genus=7, seed=95)
+    _swap_in(data, construct_model("fourgonal", genus=7, seed=94), "q1_blocks",
+             other.params["q1_blocks"])
+
+
+def _edited_seed(data):
+    data["seed"] += 1
+
+
+def _genus_400(data):
+    # a genus-400 model has 79,003 quadrics; the file holds six
+    data["genus"] = 400
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -586,6 +684,13 @@ def _degenerate_fourgonal_frame(data):
         _object_family,
         _listed_type,
         _negative_genus,
+        _delpezzo_relabelled_bielliptic,
+        _bielliptic_quadrics_of_another_seed,
+        _moved_base_point,
+        _fourgonal_quadrics_of_another_seed,
+        _fourgonal_q1_blocks_of_another_seed,
+        _edited_seed,
+        _genus_400,
     ],
 )
 def test_malformed_model_files_exit_2(tmp_path, capsys, edit):
@@ -601,6 +706,18 @@ def test_malformed_model_files_exit_2(tmp_path, capsys, edit):
     assert err.startswith("error:") and err.count("\n") == 1
     # an added key is named
     assert all(repr(key) in err for key in set(data) - written)
+
+
+def test_a_model_file_is_sized_before_it_is_rebuilt(monkeypatch):
+    data = model_to_dict(delpezzo_curve(6, seed=93))
+    _genus_400(data)
+    built = []
+    monkeypatch.setattr(syzlab.harness, "construct_model", lambda *a, **k: built.append(a))
+    start = time.perf_counter()
+    with pytest.raises(ModelInconsistencyError, match="genus 400"):
+        model_from_dict(data)
+    assert time.perf_counter() - start < 1.0
+    assert built == []
 
 
 @pytest.mark.parametrize("content", ["[1, 2]", None, "surface"])
