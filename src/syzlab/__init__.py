@@ -39,11 +39,10 @@ from .koszul import (
 )
 from .linalg import DEFAULT_PRIME, Subspace, kernel_basis, rank, rref
 from .models import CurveModel
-from .ring import GradedRing, GradedVector
+from .ring import GradedRing
 from .scroll import (
     ScrollFrame,
     fourgonal_curve,
-    scroll_minors,
     scrollar_bidegrees,
 )
 from .surfaces import (
@@ -66,7 +65,6 @@ __all__ = [
     "EmptyLinearSystemError",
     "GenericityExhaustedError",
     "GradedRing",
-    "GradedVector",
     "InvalidSyzygyError",
     "ModelInconsistencyError",
     "ScrollFrame",
@@ -97,7 +95,6 @@ __all__ = [
     "render_betti",
     "rref",
     "save_model",
-    "scroll_minors",
     "scrollar_bidegrees",
     "syz2_span",
     "theorem_sweep",

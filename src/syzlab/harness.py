@@ -149,7 +149,11 @@ def model_from_dict(data: dict) -> CurveModel:
 
 
 def load_model(path: PathLike) -> CurveModel:
-    return model_from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ModelInconsistencyError("model file nests its JSON too deeply to parse") from None
+    return model_from_dict(data)
 
 
 def recovered_bidegrees(model: CurveModel) -> tuple[int, int]:

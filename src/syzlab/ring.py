@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -54,14 +53,6 @@ def _product_table(g: int, d1: int, d2: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class GradedVector:
-    """Homogeneous polynomial as a dense coefficient vector."""
-
-    degree: int
-    coeffs: np.ndarray
-
-
 class GradedRing:
     """Monomial indexing and multiplication for one fixed (g, p)."""
 
@@ -87,29 +78,9 @@ class GradedRing:
         e = tuple(int(x) for x in exponent)
         return _monomials(self.num_vars, sum(e))[1][e]
 
-    def vector(self, degree: int, coeffs) -> GradedVector:
-        arr = np.asarray(coeffs, dtype=np.int64) % self.prime
-        if arr.shape != (self.dim(degree),):
-            raise DimensionMismatchError(
-                f"degree-{degree} piece has dimension {self.dim(degree)}, "
-                f"got shape {arr.shape}"
-            )
-        return GradedVector(degree, arr)
-
     def product_table(self, d1: int, d2: int) -> np.ndarray:
         """table[i, j] = index of (monomial_i(d1) * monomial_j(d2)) in degree d1+d2."""
         return _product_table(self.num_vars, d1, d2)
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def multiply(self, f: GradedVector, h: GradedVector) -> GradedVector:
-        p = self.prime
-        table = self.product_table(f.degree, h.degree)
-        out = np.zeros(self.dim(f.degree + h.degree), dtype=np.int64)
-        for i in np.nonzero(f.coeffs)[0]:
-            cols = table[i]
-            out[cols] = (out[cols] + int(f.coeffs[i]) * h.coeffs) % p
-        return GradedVector(f.degree + h.degree, out)
 
     def evaluate_monomials(self, degree: int, points) -> np.ndarray:
         """(npoints, dim) matrix of monomial values at the given points."""

@@ -15,8 +15,10 @@ matrix are simply (block shifted by 0) over (block shifted by 1).
 A section of 2H - lambda*F is one flat coordinate vector: pair by pair in
 PAIRS order, the coefficients of x_i x_j s^alpha t^(k_i+k_j-lambda-alpha),
 alpha ascending.  Multiplication by s^i t^(lambda-i) (shift_index) and the
-lift of a twist-0 section to a quadric (lift_index) are index maps on it;
-restriction_targets is the lift's left inverse.
+restriction of a quadric to the scroll (restriction_targets) are index maps
+on it.  The scroll is projectively normal, so restriction maps the quadrics
+onto the twist-0 sections with kernel the scroll's ideal piece I_2(X); a
+curve's quadrics are the preimage of its sections' multiples.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .linalg import (
     DEFAULT_PRIME,
     Subspace,
     check_prime,
+    kernel_basis,
     rank,
 )
 from .models import FOURGONAL, CurveModel
@@ -108,56 +111,14 @@ class ScrollFrame:
         k1, k2, _ = self.k
         return (0, k1 + 1, k1 + k2 + 2)
 
-    def var_index(self, ruling: int, s_power: int) -> int:
-        """0-based ambient index of x_ruling * s^s_power * t^(k-s_power)."""
-        k = self.k[ruling]
-        if not 0 <= s_power <= k:
-            raise ValueError(f"s-power {s_power} outside [0, {k}] for ruling {ruling}")
-        return self.offsets[ruling] + (k - s_power)
-
     def ruling_of(self, var: int) -> tuple[int, int]:
-        """Inverse of var_index: (ruling, s_power) for an ambient variable."""
+        """(ruling, s_power) of an ambient variable: block i lists the
+        s-powers k_i, ..., 0 from offset i on."""
         offs = self.offsets
         for i in (2, 1, 0):
             if var >= offs[i]:
                 return i, self.k[i] - (var - offs[i])
         raise ValueError(f"variable index {var} out of range")
-
-    def columns(self) -> list[tuple[int, int]]:
-        """(top, bottom) ambient index pairs of the determinantal matrix."""
-        return [(off + c, off + c + 1) for off, k in zip(self.offsets, self.k) for c in range(k)]
-
-
-def scroll_minors(frame: ScrollFrame, ring: GradedRing) -> Subspace:
-    """Span of the 2x2 minors Y_j W_k - Y_k W_j; dimension C(g-3, 2)."""
-    _check_ring(frame, ring)
-    rows = [_minor(ring, c1, c2) for c1, c2 in itertools.combinations(frame.columns(), 2)]
-    if not rows:
-        return Subspace.zero(ring.dim(2), ring.prime)
-    return Subspace.from_rows(np.array(rows), ring.dim(2), ring.prime)
-
-
-def _minor(ring: GradedRing, col1: tuple[int, int], col2: tuple[int, int]) -> np.ndarray:
-    """Coefficient vector of the 2x2 minor Y_1 W_2 - Y_2 W_1 of two columns."""
-    (y1, w1), (y2, w2) = col1, col2
-    vec = np.zeros(ring.dim(2), dtype=np.int64)
-    vec[ring.index_of(_pair_exponent(ring.num_vars, y1, w2))] += 1
-    vec[ring.index_of(_pair_exponent(ring.num_vars, y2, w1))] -= 1
-    return vec % ring.prime
-
-
-def _pair_exponent(g: int, u: int, v: int) -> list[int]:
-    e = [0] * g
-    e[u] += 1
-    e[v] += 1
-    return e
-
-
-def _check_ring(frame: ScrollFrame, ring: GradedRing) -> None:
-    if ring.num_vars != frame.genus:
-        raise DimensionMismatchError(
-            f"frame needs {frame.genus} variables, ring has {ring.num_vars}"
-        )
 
 
 # -- sections of 2H - lambda*F ------------------------------------------------
@@ -192,30 +153,15 @@ def shift_index(frame: ScrollFrame, twist: int, s_power: int) -> np.ndarray:
     )
 
 
-def lift_index(frame: ScrollFrame, ring: GradedRing) -> np.ndarray:
-    """Quadric monomial of each twist-0 coordinate.
-
-    x_i x_j s^alpha t^(...) is realized as a product of two ambient
-    variables by the deterministic split a = min(alpha, k_i) of the total
-    s-degree; different splits differ by scroll minors.
-    """
-    _check_ring(frame, ring)
-    g = frame.genus
-    return np.array(
-        [ring.index_of(_pair_exponent(g, frame.var_index(i, a), frame.var_index(j, alpha - a)))
-         for i, j in PAIRS
-         for alpha in range(block_length(frame, i, j, 0))
-         for a in [min(alpha, frame.k[i])]],
-        dtype=np.int64,
-    )
-
-
 # -- restriction to the scroll ------------------------------------------------
 
 
 def restriction_targets(frame: ScrollFrame, ring: GradedRing) -> np.ndarray:
     """For each quadric monomial, its coordinate in the twist-0 section space."""
-    _check_ring(frame, ring)
+    if ring.num_vars != frame.genus:
+        raise DimensionMismatchError(
+            f"frame needs {frame.genus} variables, ring has {ring.num_vars}"
+        )
     offsets = _block_offsets(frame, 0)
     exps = ring.exponents(2)
     targets = np.empty(len(exps), dtype=np.int64)
@@ -305,22 +251,27 @@ def fourgonal_curve(
 ) -> CurveModel:
     """Canonical 4-gonal curve cut on the scroll by sections of twists a, b.
 
-    The quadric ideal piece is the scroll minors plus ambient lifts of the
-    binary-form multiples of the two sections; its dimension C(g-2, 2) is
+    The quadric ideal piece is the preimage under restriction of the span
+    of the two sections' binary-form multiples: the kernel of S^2 -> the
+    twist-0 sections modulo that span.  Its dimension C(g-2, 2) is
     certified by rank, redrawing the sections on failure.
     """
     g = frame.genus
     p = check_prime(prime)
     check_twists(frame, a, b)
     ring = GradedRing(g, p)
-    minors = scroll_minors(frame, ring)
-    lift = lift_index(frame, ring)
+    targets = restriction_targets(frame, ring)
 
-    def lifted_multiples(section: np.ndarray, twist: int) -> np.ndarray:
-        rows = np.zeros((twist + 1, ring.dim(2)), dtype=np.int64)
+    def multiples(section: np.ndarray, twist: int) -> np.ndarray:
+        rows = np.zeros((twist + 1, section_dim(frame, 0)), dtype=np.int64)
         for i in range(twist + 1):
-            rows[i, lift[shift_index(frame, twist, i)]] = section
+            rows[i, shift_index(frame, twist, i)] = section
         return rows
+
+    def preimage(rows: np.ndarray) -> Subspace:
+        # a quadric restricts into span(rows) iff its restriction is
+        # orthogonal to every vector that annihilates them
+        return kernel_basis(kernel_basis(rows, p).basis[:, targets], p)
 
     target = comb(g - 2, 2)
     rng = np.random.default_rng(seed)
@@ -329,8 +280,8 @@ def fourgonal_curve(
         q2 = rng.integers(0, p, size=section_dim(frame, b), dtype=np.int64)
         if not (q1.any() and q2.any()):
             continue
-        side_a, side_b = lifted_multiples(q1, a), lifted_multiples(q2, b)
-        quadrics = Subspace.from_rows(np.vstack([minors.basis, side_a, side_b]), ring.dim(2), p)
+        side_a, side_b = multiples(q1, a), multiples(q2, b)
+        quadrics = preimage(np.vstack([side_a, side_b]))
         if quadrics.dim == target:
             break
     else:
@@ -341,8 +292,7 @@ def fourgonal_curve(
     if min(a, b) == 0:
         # the curve is a quadric section of the degree-(g-1) surface cut by
         # the positive-twist section; store that surface's quadrics
-        big = side_a if a >= b else side_b
-        surface = Subspace.from_rows(np.vstack([minors.basis, big]), ring.dim(2), p)
+        surface = preimage(side_a if a >= b else side_b)
 
     def blocks(section: np.ndarray, twist: int) -> list[list[int]]:
         return [blk.tolist() for blk in np.split(section, _block_offsets(frame, twist)[1:])]

@@ -222,10 +222,16 @@ def _delpezzo_surface_rng(
         )
     assert cubics.dim == genus
 
-    cubic = [ring3.vector(3, row) for row in cubics.basis]
-    quadrics = _quadric_kernel(
-        GradedRing(genus, prime), lambda u, v: ring3.multiply(cubic[u], cubic[v]).coeffs
-    )
+    table = ring3.product_table(3, 3)
+
+    def product(u: int, v: int) -> np.ndarray:
+        sextic = np.zeros(ring3.dim(6), dtype=np.int64)
+        # at most 100 products per coefficient, each below p^2 < 2^50:
+        # the sums stay far inside int64
+        np.add.at(sextic, table, np.outer(cubics.basis[u], cubics.basis[v]))
+        return sextic % prime
+
+    quadrics = _quadric_kernel(GradedRing(genus, prime), product)
     if quadrics.dim != comb(genus - 2, 2) - 1:
         raise ModelInconsistencyError(
             f"surface ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2) - 1}"

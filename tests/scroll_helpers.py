@@ -3,10 +3,18 @@ public ring and scroll API, with the linear solve and the section rebuild
 they use.  Sections are flat coordinate vectors in the layout of
 `section_dims`.
 
-Rolling factors: with Y/W the top and bottom entries of
-`ScrollFrame.columns()`, A_j linear forms and alpha_j scalars, put
-q1 = sum_j A_j Y_j, q2 = sum_j A_j W_j, h_top = sum_k alpha_k Y_k and
-h_bot = sum_k alpha_k W_k.  Then
+The closed form of the 4-gonal quadrics lives here as the reference the
+package's kernel-of-restriction route is checked against: the 2x2 minors
+of the determinantal matrix (`scroll_minors`) and the lift of a twist-0
+section to a quadric by the split a = min(alpha, k_i) (`lift_index`).
+Neither reads `restriction_targets`; they share only the frame layout and
+`shift_index` with the package.  Polynomial products (`GradedVector`,
+`vector`, `multiply`) are the reference for the package's table gathers.
+
+Rolling factors: with Y/W the top and bottom entries of `columns(frame)`,
+A_j linear forms and alpha_j scalars, put q1 = sum_j A_j Y_j,
+q2 = sum_j A_j W_j, h_top = sum_k alpha_k Y_k and h_bot = sum_k alpha_k W_k.
+Then
 
     h_bot * q1 - h_top * q2 = sum_{j<k} Delta_jk * M_jk,
 
@@ -17,25 +25,109 @@ uncancelled Y_j Y_k terms.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from syzlab.linalg import DEFAULT_PRIME, Subspace, kernel_basis, rref
 from syzlab.models import FOURGONAL, CurveModel
-from syzlab.ring import GradedRing, GradedVector
+from syzlab.ring import GradedRing
 from syzlab.scroll import (
+    PAIRS,
     ScrollFrame,
-    lift_index,
-    scroll_minors,
+    block_length,
     section_dims,
     shift_index,
 )
 
 
+@dataclass(frozen=True)
+class GradedVector:
+    """Homogeneous polynomial as a dense coefficient vector."""
+
+    degree: int
+    coeffs: np.ndarray
+
+
+def vector(ring: GradedRing, degree: int, coeffs) -> GradedVector:
+    arr = np.asarray(coeffs, dtype=np.int64) % ring.prime
+    assert arr.shape == (ring.dim(degree),), (degree, arr.shape)
+    return GradedVector(degree, arr)
+
+
+def multiply(ring: GradedRing, f: GradedVector, h: GradedVector) -> GradedVector:
+    """f * h, one row of the product table per nonzero term of f."""
+    p = ring.prime
+    table = ring.product_table(f.degree, h.degree)
+    out = np.zeros(ring.dim(f.degree + h.degree), dtype=np.int64)
+    for i in np.nonzero(f.coeffs)[0]:
+        cols = table[i]
+        out[cols] = (out[cols] + int(f.coeffs[i]) * h.coeffs) % p
+    return GradedVector(f.degree + h.degree, out)
+
+
 def variable(ring: GradedRing, v: int) -> GradedVector:
     """The linear form Z_{v+1}."""
-    return ring.vector(1, np.eye(ring.num_vars, dtype=np.int64)[v])
+    return vector(ring, 1, np.eye(ring.num_vars, dtype=np.int64)[v])
+
+
+# -- the closed form of the scroll's quadrics ----------------------------------
+
+
+def var_index(frame: ScrollFrame, ruling: int, s_power: int) -> int:
+    """0-based ambient index of x_ruling * s^s_power * t^(k-s_power)."""
+    k = frame.k[ruling]
+    assert 0 <= s_power <= k, (ruling, s_power)
+    return frame.offsets[ruling] + (k - s_power)
+
+
+def columns(frame: ScrollFrame) -> list[tuple[int, int]]:
+    """(top, bottom) ambient index pairs of the determinantal matrix."""
+    return [(off + c, off + c + 1) for off, k in zip(frame.offsets, frame.k) for c in range(k)]
+
+
+def _pair_index(ring: GradedRing, u: int, v: int) -> int:
+    """Index of the quadric monomial Z_u * Z_v."""
+    e = [0] * ring.num_vars
+    e[u] += 1
+    e[v] += 1
+    return ring.index_of(e)
+
+
+def scroll_minors(frame: ScrollFrame, ring: GradedRing) -> Subspace:
+    """Span of the 2x2 minors Y_j W_k - Y_k W_j; dimension C(g-3, 2)."""
+    rows = np.zeros((comb(frame.genus - 3, 2), ring.dim(2)), dtype=np.int64)
+    for row, ((y1, w1), (y2, w2)) in zip(rows, combinations(columns(frame), 2)):
+        row[_pair_index(ring, y1, w2)] += 1
+        row[_pair_index(ring, y2, w1)] -= 1
+    return Subspace.from_rows(rows % ring.prime, ring.dim(2), ring.prime)
+
+
+def lift_index(frame: ScrollFrame, ring: GradedRing) -> np.ndarray:
+    """Quadric monomial of each twist-0 coordinate.
+
+    x_i x_j s^alpha t^(...) is realized as a product of two ambient
+    variables by the deterministic split a = min(alpha, k_i) of the total
+    s-degree; different splits differ by scroll minors.
+    """
+    return np.array(
+        [_pair_index(ring, var_index(frame, i, a), var_index(frame, j, alpha - a))
+         for i, j in PAIRS
+         for alpha in range(block_length(frame, i, j, 0))
+         for a in [min(alpha, frame.k[i])]],
+        dtype=np.int64,
+    )
+
+
+def closed_form_quadrics(frame: ScrollFrame, ring: GradedRing, *sides) -> Subspace:
+    """Span of the minors and the lifts of every binary-form multiple of
+    each (section coordinates, twist) side."""
+    rows = [scroll_minors(frame, ring).basis]
+    rows += [lifted_multiple(frame, ring, coords, twist, i)
+             for coords, twist in sides for i in range(twist + 1)]
+    return Subspace.from_rows(np.vstack(rows), ring.dim(2), ring.prime)
 
 
 def solve(mat, rhs, p: int) -> np.ndarray | None:
@@ -98,8 +190,9 @@ def scroll_ring_syzygies(frame: ScrollFrame, ring: GradedRing, lifts) -> Subspac
     of the ideal of its minors.
     """
     cubics = ring.ideal_piece(scroll_minors(frame, ring), 3)
-    quads = [ring.vector(2, q) for q in lifts]
-    rows = [ring.multiply(variable(ring, v), q).coeffs for v in range(ring.num_vars) for q in quads]
+    quads = [vector(ring, 2, q) for q in lifts]
+    rows = [multiply(ring, variable(ring, v), q).coeffs
+            for v in range(ring.num_vars) for q in quads]
     return kernel_basis(cubics.reduce(np.array(rows)).T, ring.prime)
 
 
@@ -114,7 +207,7 @@ def pad_syzygies(sub: Subspace, g: int, width: int, offset: int) -> Subspace:
 
 def _times(ring: GradedRing, f, var: int) -> np.ndarray:
     """Coefficients of f * Z_var."""
-    return ring.multiply(f, variable(ring, var)).coeffs
+    return multiply(ring, f, variable(ring, var)).coeffs
 
 
 def rolling_syzygy(frame: ScrollFrame, ring: GradedRing, a_forms, alpha):
@@ -122,9 +215,9 @@ def rolling_syzygy(frame: ScrollFrame, ring: GradedRing, a_forms, alpha):
     (g, dim S^2) array gamma is h_bot[v] q1 - h_top[v] q2 - sum Delta_jk[v] M_jk,
     the quadric multiplying Z_v in the identity."""
     p = ring.prime
-    tops, bottoms = zip(*frame.columns())
+    tops, bottoms = zip(*columns(frame))
     q1, q2 = (
-        sum(_times(ring, ring.vector(1, a), z) for a, z in zip(a_forms, row)) % p
+        sum(_times(ring, vector(ring, 1, a), z) for a, z in zip(a_forms, row)) % p
         for row in (tops, bottoms)
     )
     h_top, h_bot = np.zeros((2, ring.num_vars), dtype=np.int64)
@@ -143,13 +236,13 @@ def rolling_residual(frame: ScrollFrame, ring: GradedRing, a_forms, alpha) -> np
     """sum_v Z_v gamma_v = h_bot*q1 - h_top*q2 - sum Delta_jk M_jk, as cubic
     coefficients; zero iff the identity holds."""
     _, _, gamma = rolling_syzygy(frame, ring, a_forms, alpha)
-    return sum(_times(ring, ring.vector(2, row), v) for v, row in enumerate(gamma)) % ring.prime
+    return sum(_times(ring, vector(ring, 2, row), v) for v, row in enumerate(gamma)) % ring.prime
 
 
 def top_row_forms(frame: ScrollFrame, ring: GradedRing, quad) -> np.ndarray | None:
     """Linear forms A_j with quad = sum_j A_j Y_j, as a (g-3, g) array, found
     by solving against the products Y_j * Z_v; None if quad has no such form."""
-    tops = [y for y, _ in frame.columns()]
+    tops = [y for y, _ in columns(frame)]
     g = ring.num_vars
     products = [_times(ring, variable(ring, y), v) for y in tops for v in range(g)]
     found = solve(np.array(products).T, quad, ring.prime)

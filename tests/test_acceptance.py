@@ -23,6 +23,7 @@ from scroll_helpers import (
     lifted_multiple,
     pad_syzygies,
     rolling_residual,
+    scroll_minors,
     scroll_points,
     scroll_ring_syzygies,
 )
@@ -38,7 +39,7 @@ from syzlab.koszul import (
 )
 from syzlab.linalg import DEFAULT_PRIME, kernel_basis, rank
 from syzlab.ring import GradedRing
-from syzlab.scroll import ScrollFrame, fourgonal_curve, scroll_minors
+from syzlab.scroll import ScrollFrame, fourgonal_curve
 from syzlab.surfaces import (
     WeierstrassCurve,
     bielliptic_curve,

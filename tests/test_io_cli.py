@@ -101,8 +101,9 @@ def test_model_bytes_are_pinned(family, genus, prime):
 
 
 # One-sided 4-gonal models at genus 7, twists (2, 0): their surface quadrics
-# are the lifts of the twist-2 section's multiples, so these bytes also
-# cover the order and size of the section draws and the params layout.
+# are the quadrics that restrict into the span of the twist-2 section's
+# multiples, so these bytes also cover the order and size of the section
+# draws and the params layout.
 PINNED_ONE_SIDED = {
     (None, 7): "e2f3c6ac5089cf0927b94c1e5ea6618dcccf21247c44e51b66c3face9876f501",
     (None, P): "c8f118d53c7624022ae9e4adce2749f5a02cf54426a6b6b42d17346f841aab4a",
@@ -720,10 +721,15 @@ def test_a_model_file_is_sized_before_it_is_rebuilt(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("content", ["[1, 2]", None, "surface"])
+@pytest.mark.parametrize("content", ["[1, 2]", None, "surface", "nested"])
 def test_cli_unreadable_model_file_exits_2(tmp_path, capsys, content):
     model_path = tmp_path / "m.json"  # not written when content is None
-    if content == "surface":
+    if content == "nested":
+        # deeper than the JSON parser's recursion limit
+        model_path.write_text("[" * 200000 + "]" * 200000)
+        with pytest.raises(ModelInconsistencyError, match="nest"):
+            load_model(model_path)
+    elif content == "surface":
         # a valid curve file relabelled: only curve files exist
         data = model_to_dict(bielliptic_curve(7, seed=1))
         data["type"] = "surface"
@@ -734,9 +740,10 @@ def test_cli_unreadable_model_file_exits_2(tmp_path, capsys, content):
         model_path.write_text(content)
         with pytest.raises(ModelInconsistencyError):
             model_from_dict(json.loads(content))
-    assert main(["analyze", str(model_path), "--out", str(tmp_path / "r.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
+    for command in ("analyze", "export-ideal"):
+        assert main([command, str(model_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_prime_env_override(tmp_path, monkeypatch, capsys):

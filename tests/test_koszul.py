@@ -32,7 +32,7 @@ from syzlab.ring import GradedRing
 from syzlab.scroll import ScrollFrame, fourgonal_curve
 from syzlab.surfaces import bielliptic_curve, delpezzo_curve, genus5_intersection
 from oracles import contains_space, oracle_syzygy_span
-from scroll_helpers import variable
+from scroll_helpers import multiply, variable, vector
 
 P = DEFAULT_PRIME
 
@@ -64,8 +64,8 @@ def test_every_reported_syzygy_multiplies_to_zero():
         # re-multiply by hand: sum_v Z_v * (gamma[v] . basis) in degree 3
         acc = np.zeros(ring.dim(3), dtype=np.int64)
         for v in range(6):
-            quad = ring.vector(2, gamma[v] @ model.quadrics.basis % P)
-            acc = (acc + ring.multiply(variable(ring, v), quad).coeffs) % P
+            quad = vector(ring, 2, gamma[v] @ model.quadrics.basis % P)
+            acc = (acc + multiply(ring, variable(ring, v), quad).coeffs) % P
         assert not acc.any()
 
 

@@ -9,7 +9,7 @@ from syzlab.errors import UnsupportedDegreeError
 from syzlab.linalg import Subspace
 from syzlab.ring import GradedRing
 from oracles import oracle_eval_quadric
-from scroll_helpers import variable
+from scroll_helpers import multiply, variable, vector
 
 P = 10007
 
@@ -39,9 +39,9 @@ def test_multiply_simple_identity():
     ring = GradedRing(4, P)
     f = variable(ring, 0)
     h = variable(ring, 1)
-    plus = ring.vector(1, (f.coeffs + h.coeffs) % P)
-    minus = ring.vector(1, (f.coeffs - h.coeffs) % P)
-    prod = ring.multiply(plus, minus)
+    plus = vector(ring, 1, (f.coeffs + h.coeffs) % P)
+    minus = vector(ring, 1, (f.coeffs - h.coeffs) % P)
+    prod = multiply(ring, plus, minus)
     want = np.zeros(ring.dim(2), dtype=np.int64)
     want[ring.index_of((2, 0, 0, 0))] = 1
     want[ring.index_of((0, 2, 0, 0))] = P - 1
@@ -53,9 +53,9 @@ def test_multiply_is_evaluation_homomorphism():
     ring = GradedRing(5, P)
     pts = rng.integers(0, P, size=(8, 5))
     for _ in range(10):
-        f = ring.vector(1, rng.integers(0, P, size=ring.dim(1)))
-        h = ring.vector(2, rng.integers(0, P, size=ring.dim(2)))
-        fh = ring.multiply(f, h)
+        f = vector(ring, 1, rng.integers(0, P, size=ring.dim(1)))
+        h = vector(ring, 2, rng.integers(0, P, size=ring.dim(2)))
+        fh = multiply(ring, f, h)
         lhs = ring.evaluate_monomials(3, pts) @ fh.coeffs % P
         rhs = (ring.evaluate_monomials(1, pts) @ f.coeffs % P) * (
             ring.evaluate_monomials(2, pts) @ h.coeffs % P
@@ -104,7 +104,8 @@ def test_multiplication_matrix_encodes_syzygies():
     for v in range(4):
         for r in range(quadrics.dim):
             scaled = gamma[v * quadrics.dim + r] * quadrics.basis[r] % P
-            direct = (direct + ring.multiply(variable(ring, v), ring.vector(2, scaled)).coeffs) % P
+            product = multiply(ring, variable(ring, v), vector(ring, 2, scaled))
+            direct = (direct + product.coeffs) % P
     assert np.array_equal(gamma @ mat % P, direct)
 
 
@@ -128,11 +129,9 @@ def test_ideal_piece_contains_products():
     ring = GradedRing(4, P)
     rows = rng.integers(0, P, size=(2, ring.dim(2)))
     quadrics = Subspace.from_rows(rows, ring.dim(2), P)
-    cubic = ring.multiply(variable(ring, 2), ring.vector(2, quadrics.basis[0]))
+    cubic = multiply(ring, variable(ring, 2), vector(ring, 2, quadrics.basis[0]))
     assert ring.ideal_piece(quadrics, 3).contains(cubic.coeffs)
-    quartic = ring.multiply(
-        ring.vector(2, quadrics.basis[1]), ring.vector(2, quadrics.basis[0])
-    )
+    quartic = multiply(ring, vector(ring, 2, quadrics.basis[1]), vector(ring, 2, quadrics.basis[0]))
     assert ring.ideal_piece(quadrics, 4).contains(quartic.coeffs)
 
 

@@ -14,11 +14,17 @@ from oracles import (
     oracle_zeros,
 )
 from scroll_helpers import (
+    closed_form_quadrics,
+    columns,
+    fourgonal_sections,
+    lift_index,
     lifted_multiple,
     rolling_syzygy,
+    scroll_minors,
     scroll_points,
     section_blocks,
     top_row_forms,
+    var_index,
 )
 
 from syzlab.errors import (
@@ -32,11 +38,10 @@ from syzlab.ring import GradedRing
 from syzlab.scroll import (
     PAIRS,
     ScrollFrame,
+    check_twists,
     fourgonal_curve,
-    lift_index,
     restriction_image,
     restriction_targets,
-    scroll_minors,
     scrollar_bidegrees,
     section_dim,
     section_dims,
@@ -61,15 +66,15 @@ def test_frame_validation():
 def test_var_index_layout():
     # blocks list descending s-powers: Z1 = x1 s, Z2 = x1 t, ...
     frame = ScrollFrame((1, 1, 1))
-    assert [frame.var_index(i, a) for i in range(3) for a in (1, 0)] == list(range(6))
+    assert [var_index(frame, i, a) for i in range(3) for a in (1, 0)] == list(range(6))
     frame2 = ScrollFrame((2, 3, 3))
-    assert frame2.var_index(0, 2) == 0
-    assert frame2.var_index(0, 0) == 2
-    assert frame2.var_index(1, 3) == 3
-    assert frame2.var_index(2, 0) == 10
+    assert var_index(frame2, 0, 2) == 0
+    assert var_index(frame2, 0, 0) == 2
+    assert var_index(frame2, 1, 3) == 3
+    assert var_index(frame2, 2, 0) == 10
     for v in range(frame2.genus):
         i, a = frame2.ruling_of(v)
-        assert frame2.var_index(i, a) == v
+        assert var_index(frame2, i, a) == v
 
 
 def test_minor_count_across_genus_range():
@@ -165,6 +170,34 @@ def test_index_maps_respect_the_section_layout(k):
         twist += 1
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(k=FRAMES)
+def test_kernel_of_restriction_is_the_closed_form(k):
+    # the constructor's preimage under restriction against the closed form,
+    # minors plus the lifts of the stored sections' multiples, at every
+    # admissible twist split; a one-sided surface from its positive side
+    frame = ScrollFrame(tuple(k))
+    g = frame.genus
+    ring = GradedRing(g, P)
+    restriction = np.zeros((section_dim(frame, 0), ring.dim(2)), dtype=np.int64)
+    restriction[restriction_targets(frame, ring), np.arange(ring.dim(2))] = 1
+    assert kernel_basis(restriction, P) == scroll_minors(frame, ring)
+    for a in range(g - 4):
+        b = g - 5 - a
+        try:
+            check_twists(frame, a, b)
+        except (ValueError, EmptyLinearSystemError):
+            continue
+        model = fourgonal_curve(frame, a, b, seed=g + a)
+        q1, q2 = fourgonal_sections(model)
+        assert model.quadrics == closed_form_quadrics(frame, ring, (q1, a), (q2, b))
+        if min(a, b) == 0:
+            side = (q1, a) if a >= b else (q2, b)
+            assert model.surface_quadrics == closed_form_quadrics(frame, ring, side)
+        else:
+            assert model.surface_quadrics is None
+
+
 def test_alternative_split_lift_differs_by_a_minor():
     # realizing x1 x2 s^2 t^2 on frame (2,2,2) as Z1*Z5 or Z2*Z4 differ by
     # exactly the minor Z1 Z5 - Z2 Z4 of the scroll matrix
@@ -172,13 +205,13 @@ def test_alternative_split_lift_differs_by_a_minor():
     ring = GradedRing(9, P)
     minors = scroll_minors(frame, ring)
     greedy = np.zeros(ring.dim(2), dtype=np.int64)
-    u, v = frame.var_index(0, 2), frame.var_index(1, 0)
+    u, v = var_index(frame, 0, 2), var_index(frame, 1, 0)
     e = [0] * 9
     e[u] += 1
     e[v] += 1
     greedy[ring.index_of(e)] = 1
     other = np.zeros(ring.dim(2), dtype=np.int64)
-    u2, v2 = frame.var_index(0, 1), frame.var_index(1, 1)
+    u2, v2 = var_index(frame, 0, 1), var_index(frame, 1, 1)
     e2 = [0] * 9
     e2[u2] += 1
     e2[v2] += 1
@@ -326,7 +359,7 @@ def test_bidegrees_reject_wrong_dimension():
 
 def test_scroll_matrix_entries_parametrize_consistently():
     frame = ScrollFrame((1, 2, 3))
-    cols = frame.columns()
+    cols = columns(frame)
     assert len(cols) == frame.genus - 3
     for top, bottom in cols:
         (ti, ta), (bi, ba) = frame.ruling_of(top), frame.ruling_of(bottom)

@@ -15,6 +15,7 @@ from oracles import (
     oracle_weierstrass_points,
     oracle_zeros,
 )
+from scroll_helpers import multiply, vector
 
 from syzlab.harness import construct_model
 from syzlab.koszul import classify_theorem
@@ -23,6 +24,7 @@ from syzlab.models import DELPEZZO, VERONESE
 from syzlab.ring import GradedRing
 from syzlab.surfaces import (
     WeierstrassCurve,
+    _quadric_kernel,
     bielliptic_curve,
     delpezzo_curve,
     elliptic_normal_ideal,
@@ -191,6 +193,22 @@ def test_delpezzo_surface_dimensions_and_kind():
         assert not vals.any()
     with pytest.raises(ValueError):
         delpezzo_curve(11, seed=57)
+
+
+@pytest.mark.parametrize("prime", [7, 101, 33554393])
+def test_plane_cubic_surface_is_the_kernel_of_cubic_products(prime):
+    # the constructor's product-table gather against the term-by-term
+    # product, up to the largest allowed prime
+    ring3 = GradedRing(3, prime)
+    for g in range(6, 11):
+        model = delpezzo_curve(g, seed=g, prime=prime)
+        base = np.array(model.params["base_points"], dtype=np.int64).reshape(-1, 3)
+        cubics = kernel_basis(ring3.evaluate_monomials(3, base), prime).basis
+        cubic = [vector(ring3, 3, row) for row in cubics]
+        want = _quadric_kernel(
+            GradedRing(g, prime), lambda u, v: multiply(ring3, cubic[u], cubic[v]).coeffs
+        )
+        assert model.surface_quadrics == want
 
 
 def test_delpezzo_curve_shape():
