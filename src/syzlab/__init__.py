@@ -28,7 +28,6 @@ from .harness import (
 from .io import export_ideal_text, model_digest, save_model
 from .koszul import (
     BettiTable,
-    ClassificationRecord,
     Syz2Report,
     betti_table,
     classify_theorem,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiTable",
-    "ClassificationRecord",
     "CurveModel",
     "DEFAULT_PRIME",
     "DegenerateScrollError",

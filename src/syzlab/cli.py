@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
 
@@ -19,10 +18,6 @@ from .harness import (
 from .io import export_ideal_text, save_model, save_report
 from .linalg import DEFAULT_PRIME
 from .models import CURVE_FAMILIES
-
-
-def _default_prime() -> int:
-    return int(os.environ.get("SYZLAB_PRIME", DEFAULT_PRIME))
 
 
 def _parse_frame(text: str) -> tuple[int, int, int]:
@@ -61,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scroll degrees k1,k2,k3 (4-gonal only)")
     c.add_argument("--a", type=int, default=None, help="first quadric twist (4-gonal only)")
     c.add_argument("--b", type=int, default=None, help="second quadric twist (4-gonal only)")
-    c.add_argument("--prime", type=int, default=None)
+    c.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", default="model.json")
 
@@ -75,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--genus-range", type=_parse_range, default=(5, 12),
                    help="inclusive range, e.g. 11..12")
     v.add_argument("--trials", type=int, default=1)
-    v.add_argument("--prime", type=int, default=None)
+    v.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None, help="optional JSON record file")
 
@@ -96,11 +91,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "construct":
-        prime = args.prime if args.prime is not None else _default_prime()
         model = construct_model(
             args.family,
             genus=args.genus,
-            prime=prime,
+            prime=args.prime,
             seed=args.seed,
             frame=args.frame,
             a=args.a,
@@ -126,10 +120,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report["passed"] else 1
 
     if args.command == "verify-theorem":
-        prime = args.prime if args.prime is not None else _default_prime()
         lo, hi = args.genus_range
         records, ok = theorem_sweep(
-            genus_lo=lo, genus_hi=hi, trials=args.trials, prime=prime, seed=args.seed
+            genus_lo=lo, genus_hi=hi, trials=args.trials, prime=args.prime, seed=args.seed
         )
         print(sweep_summary(records))
         if args.out:

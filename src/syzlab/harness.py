@@ -188,13 +188,8 @@ def analyze_model(
         "genus": model.genus,
         "prime": model.prime,
         "seed": model.seed,
-        "kappa11": record.kappa11,
-        "kappa21": record.kappa21,
-        "dim_W": record.dim_span,
-        "verdict": record.verdict,
-        "expected_verdict": record.expected_verdict,
-        "surface_match": record.surface_match,
-        "passed": record.passed,
+        "kappa11": model.quadrics.dim,
+        **record,
         "betti": None,
         "bidegrees": None,
     }
@@ -294,22 +289,15 @@ def theorem_sweep(
         for trial in range(trials):
             for label, model in _sweep_models(genus, p, seed, trial):
                 t0 = time.perf_counter()
-                rec = classify_theorem(model)
+                record = classify_theorem(model)
                 records.append(
                     {
                         "genus": genus,
                         "family": label,
                         "trial": trial,
                         "seed": model.seed,
-                        "kappa21": rec.kappa21,
-                        "dim_W": rec.dim_span,
-                        "verdict": rec.verdict,
-                        "expected_verdict": rec.expected_verdict,
-                        "surface_match": rec.surface_match,
-                        "passed": rec.passed,
-                        "timings": {
-                            "classify_s": round(time.perf_counter() - t0, 6)
-                        },
+                        **record,
+                        "timings": {"classify_s": round(time.perf_counter() - t0, 6)},
                     }
                 )
     records.sort(key=lambda r: (r["genus"], r["family"], r["trial"]))

@@ -326,22 +326,6 @@ def _check_identities(entries: np.ndarray, g: int) -> None:
 _SURFACE_FAMILIES = (BIELLIPTIC, DELPEZZO, VERONESE)
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
-    """One curve's syzygy-span verdict against its predicted outcome."""
-
-    family: str
-    genus: int
-    seed: int
-    kappa11: int
-    kappa21: int
-    dim_span: int
-    verdict: str
-    expected_verdict: str
-    surface_match: Optional[bool]
-    passed: bool
-
-
 def expected_verdict(model: CurveModel) -> str:
     if model.family == GENUS5:
         return VERDICT_WHOLE
@@ -353,9 +337,10 @@ def expected_verdict(model: CurveModel) -> str:
     raise ModelInconsistencyError(f"unknown family {model.family!r}")
 
 
-def classify_theorem(model: CurveModel) -> ClassificationRecord:
+def classify_theorem(model: CurveModel) -> dict:
     """Compute the syzygy span of a stored curve and compare with the
-    verdict its construction predicts.
+    verdict its construction predicts: the record that analyze reports
+    and verify-theorem sweeps print.
 
     For surface-type verdicts the span must also coincide with the stored
     surface ideal and have the dimension of a degree-(g-1) surface ideal,
@@ -369,15 +354,11 @@ def classify_theorem(model: CurveModel) -> ClassificationRecord:
         ok = report.dim_span == comb(model.genus - 2, 2) - 1
         if model.surface_quadrics is not None:
             ok = ok and bool(report.surface_match)
-    return ClassificationRecord(
-        family=model.family,
-        genus=model.genus,
-        seed=model.seed,
-        kappa11=model.quadrics.dim,
-        kappa21=report.kappa21,
-        dim_span=report.dim_span,
-        verdict=report.verdict,
-        expected_verdict=want,
-        surface_match=report.surface_match,
-        passed=ok,
-    )
+    return {
+        "kappa21": report.kappa21,
+        "dim_W": report.dim_span,
+        "verdict": report.verdict,
+        "expected_verdict": want,
+        "surface_match": report.surface_match,
+        "passed": ok,
+    }

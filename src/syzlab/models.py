@@ -3,14 +3,18 @@
 A model stores exactly what analysis needs: the quadric ideal piece of the
 curve, optionally the quadrics of the surface it is expected to sweep out,
 and the construction parameters.  It holds no points: every verdict, kappa
-value and span is a statement about quadrics.
+value and span is a statement about quadrics.  Every constructor draws its
+random data through ``redraw``, the one rule for redrawing a seeded draw
+that misses a genericity condition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from math import comb
+from typing import Any, Callable, Optional
 
+from .errors import GenericityExhaustedError, ModelInconsistencyError
 from .linalg import Subspace
 
 FOURGONAL = "fourgonal"
@@ -34,13 +38,27 @@ def check_genus(family: str, genus: int) -> int:
     return genus
 
 
+MAX_REDRAWS = 8
+
+
+def redraw(draw: Callable[[], Any], failure: str) -> Any:
+    """The first result of draw() that is not None; draw() returns None to
+    ask for a redraw, and after MAX_REDRAWS of them the search gives up."""
+    for _ in range(MAX_REDRAWS):
+        result = draw()
+        if result is not None:
+            return result
+    raise GenericityExhaustedError(f"{failure} after {MAX_REDRAWS} draws")
+
+
 @dataclass
 class CurveModel:
     """A canonically embedded curve given by its quadric ideal piece.
 
     ``surface_quadrics`` is present for families that come with a preferred
     surface (cone over an elliptic curve, Del Pezzo, Veronese) and holds
-    that surface's quadrics in the same coordinates.
+    that surface's quadrics in the same coordinates.  A model certifies its
+    dimensions: C(g-2, 2) quadrics, and one fewer for the surface.
     """
 
     family: str
@@ -56,3 +74,10 @@ class CurveModel:
             raise ValueError(
                 f"unknown family {self.family!r}, expected one of {CURVE_FAMILIES}"
             )
+        want = comb(self.genus - 2, 2)
+        for name, space, dim in (("quadrics", self.quadrics, want),
+                                 ("surface_quadrics", self.surface_quadrics, want - 1)):
+            if space is not None and space.dim != dim:
+                raise ModelInconsistencyError(
+                    f"genus-{self.genus} {self.family} {name} span dim {space.dim}, expected {dim}"
+                )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .errors import (
     DegenerateScrollError,
     DimensionMismatchError,
     EmptyLinearSystemError,
-    GenericityExhaustedError,
     ModelInconsistencyError,
 )
 from .linalg import (
@@ -43,7 +43,7 @@ from .linalg import (
     kernel_basis,
     rank,
 )
-from .models import FOURGONAL, CurveModel
+from .models import FOURGONAL, CurveModel, redraw
 from .ring import GradedRing
 
 # fixed enumeration of unordered ruling pairs (i <= j)
@@ -222,9 +222,6 @@ def scrollar_bidegrees(frame: ScrollFrame, restricted: Subspace) -> tuple[int, i
 # -- the 4-gonal curve constructor -------------------------------------------
 
 
-MAX_REDRAWS = 8
-
-
 def check_twists(frame: ScrollFrame, a: int, b: int) -> None:
     """Refuse twists that cut no canonical curve, a split one included."""
     g = frame.genus
@@ -273,26 +270,22 @@ def fourgonal_curve(
         # orthogonal to every vector that annihilates them
         return kernel_basis(kernel_basis(rows, p).basis[:, targets], p)
 
-    target = comb(g - 2, 2)
     rng = np.random.default_rng(seed)
-    for _ in range(MAX_REDRAWS):
+
+    def draw() -> Optional[tuple[np.ndarray, np.ndarray, Subspace]]:
         q1 = rng.integers(0, p, size=section_dim(frame, a), dtype=np.int64)
         q2 = rng.integers(0, p, size=section_dim(frame, b), dtype=np.int64)
         if not (q1.any() and q2.any()):
-            continue
-        side_a, side_b = multiples(q1, a), multiples(q2, b)
-        quadrics = preimage(np.vstack([side_a, side_b]))
-        if quadrics.dim == target:
-            break
-    else:
-        raise GenericityExhaustedError(
-            f"no generic section pair after {MAX_REDRAWS} draws (frame {frame.k}, a={a}, b={b})"
-        )
+            return None
+        quadrics = preimage(np.vstack([multiples(q1, a), multiples(q2, b)]))
+        return (q1, q2, quadrics) if quadrics.dim == comb(g - 2, 2) else None
+
+    q1, q2, quadrics = redraw(draw, f"no generic section pair (frame {frame.k}, a={a}, b={b})")
     surface = None
     if min(a, b) == 0:
         # the curve is a quadric section of the degree-(g-1) surface cut by
         # the positive-twist section; store that surface's quadrics
-        surface = preimage(side_a if a >= b else side_b)
+        surface = preimage(multiples(q1, a) if a >= b else multiples(q2, b))
 
     def blocks(section: np.ndarray, twist: int) -> list[list[int]]:
         return [blk.tolist() for blk in np.split(section, _block_offsets(frame, twist)[1:])]

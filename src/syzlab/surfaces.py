@@ -12,22 +12,19 @@ projectively normal.  No construction samples points of the curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .errors import GenericityExhaustedError, ModelInconsistencyError
+from .errors import ModelInconsistencyError
 from .linalg import (
     DEFAULT_PRIME,
     Subspace,
     check_prime,
     kernel_basis,
 )
-from .models import BIELLIPTIC, DELPEZZO, GENUS5, VERONESE, CurveModel
+from .models import BIELLIPTIC, DELPEZZO, GENUS5, VERONESE, CurveModel, redraw
 from .ring import GradedRing
-
-MAX_REDRAWS = 8
 
 
 @dataclass(frozen=True)
@@ -56,12 +53,13 @@ class WeierstrassCurve:
     @classmethod
     def random(cls, prime: int, rng: np.random.Generator) -> "WeierstrassCurve":
         p = check_prime(prime)
-        for _ in range(MAX_REDRAWS):
+
+        def draw() -> Optional[WeierstrassCurve]:
             a4 = int(rng.integers(0, p))
             a6 = int(rng.integers(0, p))
-            if (4 * pow(a4, 3, p) + 27 * a6 * a6) % p != 0:
-                return cls(a4, a6, p)
-        raise GenericityExhaustedError("could not draw a nonsingular cubic")
+            return cls(a4, a6, p) if (4 * pow(a4, 3, p) + 27 * a6 * a6) % p else None
+
+        return redraw(draw, "no nonsingular cubic")
 
 
 def pole_order_basis(n: int) -> list[tuple[int, int]]:
@@ -141,6 +139,28 @@ def _cone_quadrics(genus: int, curve: WeierstrassCurve) -> Subspace:
     return Subspace.from_rows(rows, big.dim(2), big.prime)
 
 
+def _quadric_section(
+    family: str,
+    genus: int,
+    seed: int,
+    rng: np.random.Generator,
+    surface: Subspace,
+    params: dict[str, Any],
+    hits: Callable[[np.ndarray], bool],
+) -> CurveModel:
+    """The curve cut on the surface by one drawn quadric, redrawn until
+    hits(quadric) holds."""
+    p, n = surface.prime, surface.ambient_dim
+
+    def draw() -> Optional[np.ndarray]:
+        quad = rng.integers(0, p, size=n, dtype=np.int64)
+        return quad if hits(quad) else None
+
+    quad = redraw(draw, f"no drawn quadric cut a {family} curve from its surface")
+    quadrics = surface.sum(Subspace.from_rows(quad, n, p))
+    return CurveModel(family, genus, p, int(seed), quadrics, surface, params)
+
+
 def bielliptic_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveModel:
     """Bielliptic canonical curve: quadric section of an elliptic cone.
 
@@ -152,42 +172,12 @@ def bielliptic_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> Curve
     rng = np.random.default_rng(seed)
     curve = WeierstrassCurve.random(p, rng)
     surface = _cone_quadrics(genus, curve)
-    ring = GradedRing(genus, p)
-    vertex_sq = ring.index_of([2] + [0] * (genus - 1))
-    for _ in range(MAX_REDRAWS):
-        quad = rng.integers(0, p, size=ring.dim(2), dtype=np.int64)
-        if quad[vertex_sq] != 0:
-            break
-    else:
-        raise GenericityExhaustedError(
-            "every drawn quadric vanished at the cone vertex"
-        )
-    quadrics = surface.sum(Subspace.from_rows(quad, ring.dim(2), p))
-    if quadrics.dim != comb(genus - 2, 2):
-        raise ModelInconsistencyError(
-            f"bielliptic ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2)}"
-        )
-    return CurveModel(
-        family=BIELLIPTIC,
-        genus=genus,
-        prime=p,
-        seed=int(seed),
-        quadrics=quadrics,
-        surface_quadrics=surface,
-        params={"a4": curve.a4, "a6": curve.a6},
-    )
+    vertex_sq = GradedRing(genus, p).index_of([2] + [0] * (genus - 1))
+    return _quadric_section(BIELLIPTIC, genus, seed, rng, surface,
+                            {"a4": curve.a4, "a6": curve.a6}, lambda quad: quad[vertex_sq] != 0)
 
 
 # -- Del Pezzo and Veronese surfaces ------------------------------------------
-
-
-def _plane_cubic_basis(
-    base_points: np.ndarray, ring3: GradedRing
-) -> Optional[Subspace]:
-    """Cubics through the base points, or None unless each point imposes
-    one condition (general position: kernel dimension 10 - #points)."""
-    cubics = kernel_basis(ring3.evaluate_monomials(3, base_points), ring3.prime)
-    return cubics if cubics.dim == ring3.dim(3) - len(base_points) else None
 
 
 def _delpezzo_surface_rng(
@@ -198,30 +188,25 @@ def _delpezzo_surface_rng(
 
     Degree g-1 in P^{g-1}: an honest Del Pezzo for g in 6..9 and the cubic
     Veronese embedding of the whole plane at g = 10.  The cubic basis is the
-    surface's coordinate functions.
+    surface's coordinate functions; the points are in general position iff
+    exactly g cubics pass through them.
     """
     if not 6 <= genus <= 10:
         raise ValueError(f"plane-cubic surfaces exist for genus 6..10, got {genus}")
     ring3 = GradedRing(3, prime)
     n_base = 10 - genus
-    cubics: Optional[Subspace] = None
-    base = np.zeros((0, 3), dtype=np.int64)
-    for _ in range(MAX_REDRAWS):
+
+    def draw() -> Optional[tuple[Subspace, np.ndarray]]:
         base = np.hstack(
             [
                 rng.integers(0, prime, size=(n_base, 2), dtype=np.int64),
                 np.ones((n_base, 1), dtype=np.int64),
             ]
         )
-        cubics = _plane_cubic_basis(base, ring3)
-        if cubics is not None:
-            break
-    if cubics is None:
-        raise GenericityExhaustedError(
-            f"no general position after {MAX_REDRAWS} draws of {n_base} plane points"
-        )
-    assert cubics.dim == genus
+        cubics = kernel_basis(ring3.evaluate_monomials(3, base), prime)
+        return (cubics, base) if cubics.dim == genus else None
 
+    cubics, base = redraw(draw, f"no {n_base} plane points in general position")
     table = ring3.product_table(3, 3)
 
     def product(u: int, v: int) -> np.ndarray:
@@ -231,12 +216,7 @@ def _delpezzo_surface_rng(
         np.add.at(sextic, table, np.outer(cubics.basis[u], cubics.basis[v]))
         return sextic % prime
 
-    quadrics = _quadric_kernel(GradedRing(genus, prime), product)
-    if quadrics.dim != comb(genus - 2, 2) - 1:
-        raise ModelInconsistencyError(
-            f"surface ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2) - 1}"
-        )
-    return quadrics, base
+    return _quadric_kernel(GradedRing(genus, prime), product), base
 
 
 def delpezzo_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveModel:
@@ -244,28 +224,9 @@ def delpezzo_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveMo
     p = check_prime(prime)
     rng = np.random.default_rng(seed)
     surface, base = _delpezzo_surface_rng(genus, p, rng)
-    ring_g = GradedRing(genus, p)
-    for _ in range(MAX_REDRAWS):
-        quad = rng.integers(0, p, size=ring_g.dim(2), dtype=np.int64)
-        if not surface.contains(quad):
-            break
-    else:
-        raise GenericityExhaustedError("drawn quadrics all contained the surface ideal")
-    quadrics = surface.sum(Subspace.from_rows(quad, ring_g.dim(2), p))
-    if quadrics.dim != comb(genus - 2, 2):
-        raise ModelInconsistencyError(
-            f"curve ideal has dim {quadrics.dim}, expected {comb(genus - 2, 2)}"
-        )
-    family = VERONESE if genus == 10 else DELPEZZO
-    return CurveModel(
-        family=family,
-        genus=genus,
-        prime=p,
-        seed=int(seed),
-        quadrics=quadrics,
-        surface_quadrics=surface,
-        params={"base_points": [[int(c) for c in row] for row in base]},
-    )
+    return _quadric_section(VERONESE if genus == 10 else DELPEZZO, genus, seed, rng, surface,
+                            {"base_points": [[int(c) for c in row] for row in base]},
+                            lambda quad: not surface.contains(quad))
 
 
 # -- genus 5 ------------------------------------------------------------------
@@ -275,18 +236,11 @@ def genus5_intersection(seed: int, prime: int = DEFAULT_PRIME) -> CurveModel:
     """General genus-5 canonical curve: three random quadrics in P^4."""
     p = check_prime(prime)
     rng = np.random.default_rng(seed)
-    ring = GradedRing(5, p)
-    for _ in range(MAX_REDRAWS):
-        rows = rng.integers(0, p, size=(3, ring.dim(2)), dtype=np.int64)
-        quadrics = Subspace.from_rows(rows, ring.dim(2), p)
-        if quadrics.dim == 3:
-            return CurveModel(
-                family=GENUS5,
-                genus=5,
-                prime=p,
-                seed=int(seed),
-                quadrics=quadrics,
-                surface_quadrics=None,
-                params={},
-            )
-    raise GenericityExhaustedError("three random quadrics were dependent repeatedly")
+    n = GradedRing(5, p).dim(2)
+
+    def draw() -> Optional[Subspace]:
+        quadrics = Subspace.from_rows(rng.integers(0, p, size=(3, n), dtype=np.int64), n, p)
+        return quadrics if quadrics.dim == 3 else None
+
+    quadrics = redraw(draw, "no three independent quadrics")
+    return CurveModel(GENUS5, 5, p, int(seed), quadrics)

@@ -13,7 +13,7 @@ from oracles import oracle_parse_ideal_text
 
 import syzlab.harness
 from syzlab.cli import main
-from syzlab.errors import ModelInconsistencyError
+from syzlab.errors import GenericityExhaustedError, ModelInconsistencyError
 from syzlab.harness import (
     _sweep_models,
     analyze_model,
@@ -243,6 +243,56 @@ def test_construct_model_validation():
                 construct_model(family, genus=genus, **options)
 
 
+class _ZeroGenerator:
+    """A seeded stream that draws only zeros, so no genericity draw succeeds."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def integers(self, low, high=None, size=None, dtype=np.int64):
+        self.calls += 1
+        return 0 if size is None else np.zeros(size, dtype=dtype)
+
+
+@pytest.mark.parametrize(
+    "family, genus, calls",
+    [("genus5", 5, 8), ("bielliptic", 8, 16), ("delpezzo", 7, 8), ("delpezzo", 9, 9),
+     ("veronese", 10, 9), ("fourgonal", 9, 16)],
+)
+def test_exhausted_draws_are_refused(tmp_path, capsys, monkeypatch, family, genus, calls):
+    # eight draws per genericity condition; a scalar draw counts as one call
+    streams = []
+
+    def default_rng(seed=None):
+        streams.append(_ZeroGenerator())
+        return streams[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    with pytest.raises(GenericityExhaustedError, match="after 8 draws$"):
+        construct_model(family, genus=genus, seed=3)
+    assert [stream.calls for stream in streams] == [calls]
+    out = tmp_path / "m.json"
+    argv = ["construct", family, "--genus", str(genus), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "after 8 draws" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family, genus, options",
+    [("bielliptic", 8, {}), ("delpezzo", 8, {}),
+     ("fourgonal", 7, {"frame": (1, 1, 2), "a": 2, "b": 0})],
+)
+def test_a_model_certifies_its_dimensions(family, genus, options):
+    model = construct_model(family, genus=genus, seed=5, **options)
+    assert model.surface_quadrics is not None
+    with pytest.raises(ModelInconsistencyError, match=" quadrics span dim"):
+        dataclasses.replace(model, quadrics=model.surface_quadrics)
+    with pytest.raises(ModelInconsistencyError, match="surface_quadrics span dim"):
+        dataclasses.replace(model, surface_quadrics=model.quadrics)
+
+
 def test_render_betti_marks_gaps():
     table = {"genus": 6, "entries": [[1, -1], [0, 3]], "truncated": True}
     text = render_betti(table)
@@ -294,9 +344,7 @@ def test_cli_analyze_exits_1_on_a_failed_record(tmp_path, capsys, monkeypatch):
     classify = syzlab.harness.classify_theorem
     monkeypatch.setattr(
         syzlab.harness, "classify_theorem",
-        lambda model: dataclasses.replace(
-            classify(model), expected_verdict="ProperSurface", passed=False
-        ),
+        lambda model: {**classify(model), "expected_verdict": "ProperSurface", "passed": False},
     )
     assert main(["analyze", str(model_path), "--out", str(report_path)]) == 1
     out = capsys.readouterr().out
@@ -328,6 +376,11 @@ def test_cli_construct_analyze_export(tmp_path, capsys):
     assert nvars == 8 and len(polys) == 15
     model = load_model(model_path)
     assert np.array_equal(_ideal_rows(GradedRing(8, prime), polys), model.quadrics.basis)
+    assert model.prime == prime == DEFAULT_PRIME
+
+    assert main(["construct", "genus5", "--seed", "91", "--prime", "10007",
+                 "--out", str(model_path)]) == 0
+    assert load_model(model_path).prime == 10007
 
 
 def test_cli_verify_theorem(tmp_path, capsys):
@@ -744,12 +797,3 @@ def test_cli_unreadable_model_file_exits_2(tmp_path, capsys, content):
         assert main([command, str(model_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_cli_prime_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SYZLAB_PRIME", "10007")
-    model_path = tmp_path / "m.json"
-    assert main(["construct", "genus5", "--seed", "91",
-                 "--out", str(model_path)]) == 0
-    capsys.readouterr()
-    assert load_model(model_path).prime == 10007

@@ -314,14 +314,14 @@ def test_expected_verdicts():
 
 def test_classify_theorem_records():
     rec = classify_theorem(bielliptic_curve(9, seed=75))
-    assert rec.passed
-    assert rec.verdict == rec.expected_verdict == VERDICT_SURFACE
-    assert rec.surface_match is True
-    assert rec.kappa21 == _kappa21(9)
-    assert rec.dim_span == comb(7, 2) - 1
+    assert rec["passed"]
+    assert rec["verdict"] == rec["expected_verdict"] == VERDICT_SURFACE
+    assert rec["surface_match"] is True
+    assert rec["kappa21"] == _kappa21(9)
+    assert rec["dim_W"] == comb(7, 2) - 1
 
     rec = classify_theorem(fourgonal_curve(ScrollFrame((1, 1, 1)), 1, 0, seed=75))
-    assert rec.passed and rec.verdict == VERDICT_SURFACE
+    assert rec["passed"] and rec["verdict"] == VERDICT_SURFACE
 
     rec = classify_theorem(genus5_intersection(seed=75))
-    assert rec.passed and rec.verdict == VERDICT_WHOLE and rec.kappa21 == 0
+    assert rec["passed"] and rec["verdict"] == VERDICT_WHOLE and rec["kappa21"] == 0

@@ -264,4 +264,4 @@ def test_constructions_are_seed_deterministic():
 def test_surface_families_over_small_primes(family, genus, prime):
     # few GF(p)-points exist here; the exact ideals do not depend on them
     model = construct_model(family, genus=genus, prime=prime, seed=0)
-    assert classify_theorem(model).passed
+    assert classify_theorem(model)["passed"]
