@@ -1,8 +1,8 @@
 """Exception types raised by the library.
 
-Everything derives from SyzlabError so callers can catch broadly; the
-subclasses exist because several of them drive control flow (retry loops
-over random draws, report truncation).
+Everything derives from SyzlabError, which the command line and the model
+loader catch as one.  The subclasses name what went wrong; only
+SizeLimitError drives control flow, marking a kappa-grid cell skipped.
 """
 
 

@@ -31,6 +31,7 @@ from .models import (
     VERONESE,
     CurveModel,
     check_genus,
+    has_genus,
 )
 from .ring import GradedRing
 from .scroll import (
@@ -57,7 +58,8 @@ def construct_model(
     a: Optional[int] = None,
     b: Optional[int] = None,
 ) -> CurveModel:
-    """Build a curve model of the named family with sensible defaults."""
+    """Build a curve model of the named family with sensible defaults: the
+    one path by which the command line, the model loader and the sweep build."""
     p = check_prime(prime)
     if family not in CURVE_FAMILIES:
         raise ValueError(
@@ -231,36 +233,21 @@ def render_betti(table: dict) -> str:
 
 
 def _sweep_models(genus: int, prime: int, seed: int, trial: int):
-    """The models one sweep cell exercises, as (label, model) pairs."""
-    out = []
+    """The models one sweep cell exercises, as (label, model) pairs: one of
+    each family with models of this genus, and two 4-gonal ones."""
     base = seed + 1009 * genus + 101 * trial
-    if genus == 5:
-        out.append((GENUS5, genus5_intersection(base, prime=prime)))
-        return out
-    a, b = default_split(genus)
-    if min(a, b) >= 1:
-        out.append(
-            (
-                "fourgonal-split",
-                fourgonal_curve(ScrollFrame.balanced(genus), a, b, base, prime=prime),
-            )
-        )
-    if genus <= 9:
-        # past genus 9 every twist-(g-5) section has singular fibre conics
-        out.append(
-            (
-                "fourgonal-extremal",
-                fourgonal_curve(
-                    ScrollFrame.hosting(genus, genus - 5), genus - 5, 0, base + 1,
-                    prime=prime,
-                ),
-            )
-        )
-    out.append((BIELLIPTIC, bielliptic_curve(genus, base + 2, prime=prime)))
-    if genus <= 10:
-        # the plane-cubic model is a veronese one at genus 10
-        model = delpezzo_curve(genus, base + 3, prime=prime)
-        out.append((model.family, model))
+    out = []
+    if has_genus(FOURGONAL, genus):
+        if min(default_split(genus)) >= 1:
+            out.append(("fourgonal-split", construct_model(FOURGONAL, genus, prime, base)))
+        if genus <= 9:
+            # past genus 9 every twist-(g-5) section has singular fibre conics
+            frame = ScrollFrame.hosting(genus, genus - 5).k
+            model = construct_model(FOURGONAL, genus, prime, base + 1, frame, genus - 5, 0)
+            out.append(("fourgonal-extremal", model))
+    for family, offset in ((GENUS5, 0), (BIELLIPTIC, 2), (DELPEZZO, 3), (VERONESE, 3)):
+        if has_genus(family, genus):
+            out.append((family, construct_model(family, genus, prime, base + offset)))
     return out
 
 
@@ -283,11 +270,11 @@ def theorem_sweep(
         )
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    p = check_prime(prime)
     records: list[dict] = []
     for genus in range(genus_lo, genus_hi + 1):
         for trial in range(trials):
-            for label, model in _sweep_models(genus, p, seed, trial):
+            # construct_model checks the prime before the first model is built
+            for label, model in _sweep_models(genus, prime, seed, trial):
                 t0 = time.perf_counter()
                 record = classify_theorem(model)
                 records.append(

@@ -29,19 +29,8 @@ from .errors import (
     UnsupportedDegreeError,
 )
 from .linalg import Subspace, kernel_basis, rank
-from .models import (
-    BIELLIPTIC,
-    DELPEZZO,
-    FOURGONAL,
-    GENUS5,
-    VERONESE,
-    CurveModel,
-)
+from .models import VERDICT_CURVE, VERDICT_SURFACE, VERDICT_WHOLE, CurveModel, expected_verdict
 from .ring import GradedRing
-
-VERDICT_CURVE = "EqualsCurve"
-VERDICT_SURFACE = "ProperSurface"
-VERDICT_WHOLE = "WholeSpace"
 
 MAX_MATRIX_ENTRIES = 8_000_000
 
@@ -96,18 +85,13 @@ class Syz2Report:
     kappa21: int
     span: Subspace
     verdict: str
-    surface_match: Optional[bool] = None
 
     @property
     def dim_span(self) -> int:
         return self.span.dim
 
 
-def syz2_span(
-    ring: GradedRing,
-    quadrics: Subspace,
-    surface: Optional[Subspace] = None,
-) -> Syz2Report:
+def syz2_span(ring: GradedRing, quadrics: Subspace) -> Syz2Report:
     """Span W of quadrics involved in every linear syzygy, with verdict.
 
     Running over a kernel basis suffices: quadrics_involved is linear in
@@ -129,10 +113,7 @@ def syz2_span(
             rows = coords.basis @ quadrics.basis % ring.prime
             span = Subspace.from_rows(rows, quadrics.ambient_dim, ring.prime)
         verdict = VERDICT_CURVE if span == quadrics else VERDICT_SURFACE
-    match = None
-    if surface is not None:
-        match = span == surface
-    return Syz2Report(kappa21=ker.dim, span=span, verdict=verdict, surface_match=match)
+    return Syz2Report(kappa21=ker.dim, span=span, verdict=verdict)
 
 
 # -- general Koszul cohomology -------------------------------------------------
@@ -323,42 +304,28 @@ def _check_identities(entries: np.ndarray, g: int) -> None:
 
 # -- theorem-level classification ---------------------------------------------
 
-_SURFACE_FAMILIES = (BIELLIPTIC, DELPEZZO, VERONESE)
-
-
-def expected_verdict(model: CurveModel) -> str:
-    if model.family == GENUS5:
-        return VERDICT_WHOLE
-    if model.family in _SURFACE_FAMILIES:
-        return VERDICT_SURFACE
-    if model.family == FOURGONAL:
-        a, b = int(model.params["a"]), int(model.params["b"])
-        return VERDICT_CURVE if min(a, b) >= 1 else VERDICT_SURFACE
-    raise ModelInconsistencyError(f"unknown family {model.family!r}")
-
 
 def classify_theorem(model: CurveModel) -> dict:
     """Compute the syzygy span of a stored curve and compare with the
     verdict its construction predicts: the record that analyze reports
     and verify-theorem sweeps print.
 
-    For surface-type verdicts the span must also coincide with the stored
-    surface ideal and have the dimension of a degree-(g-1) surface ideal,
-    binom(g-2, 2) - 1.
+    A surface-type verdict passes only if the span also has the dimension
+    of a degree-(g-1) surface ideal, binom(g-2, 2) - 1, and equals the
+    stored surface ideal when the model has one.
     """
-    ring = GradedRing(model.genus, model.prime)
-    report = syz2_span(ring, model.quadrics, surface=model.surface_quadrics)
+    report = syz2_span(GradedRing(model.genus, model.prime), model.quadrics)
+    surface = model.surface_quadrics
+    match = None if surface is None else report.span == surface
     want = expected_verdict(model)
     ok = report.verdict == want
-    if want == VERDICT_SURFACE and ok:
-        ok = report.dim_span == comb(model.genus - 2, 2) - 1
-        if model.surface_quadrics is not None:
-            ok = ok and bool(report.surface_match)
+    if want == VERDICT_SURFACE:
+        ok = ok and report.dim_span == comb(model.genus - 2, 2) - 1 and match is not False
     return {
         "kappa21": report.kappa21,
         "dim_W": report.dim_span,
         "verdict": report.verdict,
         "expected_verdict": want,
-        "surface_match": report.surface_match,
+        "surface_match": match,
         "passed": ok,
     }

@@ -1,4 +1,4 @@
-"""The one model type: a canonical curve given by its quadrics.
+"""The one model type, a canonical curve, and each family's genera and verdict.
 
 A model stores exactly what analysis needs: the quadric ideal piece of the
 curve, optionally the quadrics of the surface it is expected to sweep out,
@@ -30,12 +30,33 @@ GENERA = {FOURGONAL: (6, None), BIELLIPTIC: (6, None), DELPEZZO: (6, 9), VERONES
           GENUS5: (5, 5)}
 
 
+def has_genus(family: str, genus: int) -> bool:
+    lowest, highest = GENERA[family]
+    return lowest <= genus <= (highest or genus)
+
+
 def check_genus(family: str, genus: int) -> int:
     """The genus, refused unless the family has models of that genus."""
-    lowest, highest = GENERA[family]
-    if not lowest <= genus <= (highest or genus):
+    if not has_genus(family, genus):
+        lowest, highest = GENERA[family]
         raise ValueError(f"{family} models have genus {lowest}..{highest or ''}, got {genus}")
     return genus
+
+
+VERDICT_CURVE = "EqualsCurve"
+VERDICT_SURFACE = "ProperSurface"
+VERDICT_WHOLE = "WholeSpace"
+
+
+def expected_verdict(model: CurveModel) -> str:
+    """The verdict the construction predicts for the syzygy-quadric span W:
+    no syzygies at genus 5, W = I_2 for a 4-gonal curve with both twists
+    positive, else W = the quadrics of the degree-(g-1) surface it lies on."""
+    if model.family == GENUS5:
+        return VERDICT_WHOLE
+    if model.family == FOURGONAL and min(int(model.params["a"]), int(model.params["b"])) >= 1:
+        return VERDICT_CURVE
+    return VERDICT_SURFACE
 
 
 MAX_REDRAWS = 8

@@ -43,7 +43,7 @@ from .linalg import (
     kernel_basis,
     rank,
 )
-from .models import FOURGONAL, CurveModel, redraw
+from .models import FOURGONAL, CurveModel, check_genus, redraw
 from .ring import GradedRing
 
 # fixed enumeration of unordered ruling pairs (i <= j)
@@ -71,9 +71,7 @@ class ScrollFrame:
     @classmethod
     def balanced(cls, genus: int) -> "ScrollFrame":
         """The most balanced frame for the given genus."""
-        if genus < 6:
-            raise ValueError(f"scroll frames need genus >= 6, got {genus}")
-        q, r = divmod(genus - 3, 3)
+        q, r = divmod(check_genus(FOURGONAL, genus) - 3, 3)
         ks = sorted(q + (1 if i < r else 0) for i in range(3))
         return cls(tuple(ks))
 
@@ -253,7 +251,7 @@ def fourgonal_curve(
     twist-0 sections modulo that span.  Its dimension C(g-2, 2) is
     certified by rank, redrawing the sections on failure.
     """
-    g = frame.genus
+    g = check_genus(FOURGONAL, frame.genus)
     p = check_prime(prime)
     check_twists(frame, a, b)
     ring = GradedRing(g, p)

@@ -23,7 +23,8 @@ from .linalg import (
     check_prime,
     kernel_basis,
 )
-from .models import BIELLIPTIC, DELPEZZO, GENUS5, VERONESE, CurveModel, redraw
+from .models import (BIELLIPTIC, DELPEZZO, GENUS5, VERONESE, CurveModel, check_genus,
+                     has_genus, redraw)
 from .ring import GradedRing
 
 
@@ -129,8 +130,6 @@ def _cone_quadrics(genus: int, curve: WeierstrassCurve) -> Subspace:
     """Quadrics of the cone in P^{g-1} with vertex (1:0:...:0) over the
     degree-(g-1) elliptic normal curve: its quadrics in Z_1..Z_{g-1} become
     quadrics in Z_2..Z_g.  There are (g-1)(g-4)/2 = C(g-2, 2) - 1."""
-    if genus < 6:
-        raise ValueError(f"cone surfaces need genus >= 6, got {genus}")
     small, big = GradedRing(genus - 1, curve.prime), GradedRing(genus, curve.prime)
     col_map = [big.index_of([0] + [int(x) for x in e]) for e in small.exponents(2)]
     base = elliptic_normal_ideal(genus - 1, curve)
@@ -169,6 +168,7 @@ def bielliptic_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> Curve
     cone's ruling.
     """
     p = check_prime(prime)
+    check_genus(BIELLIPTIC, genus)
     rng = np.random.default_rng(seed)
     curve = WeierstrassCurve.random(p, rng)
     surface = _cone_quadrics(genus, curve)
@@ -191,8 +191,6 @@ def _delpezzo_surface_rng(
     surface's coordinate functions; the points are in general position iff
     exactly g cubics pass through them.
     """
-    if not 6 <= genus <= 10:
-        raise ValueError(f"plane-cubic surfaces exist for genus 6..10, got {genus}")
     ring3 = GradedRing(3, prime)
     n_base = 10 - genus
 
@@ -220,11 +218,14 @@ def _delpezzo_surface_rng(
 
 
 def delpezzo_curve(genus: int, seed: int, prime: int = DEFAULT_PRIME) -> CurveModel:
-    """Canonical curve cut on a plane-cubic surface by one extra quadric."""
+    """Canonical curve cut on a plane-cubic surface by one extra quadric:
+    a Veronese model at the genus of the cubic Veronese, else a Del Pezzo one."""
     p = check_prime(prime)
+    family = VERONESE if has_genus(VERONESE, genus) else DELPEZZO
+    check_genus(family, genus)
     rng = np.random.default_rng(seed)
     surface, base = _delpezzo_surface_rng(genus, p, rng)
-    return _quadric_section(VERONESE if genus == 10 else DELPEZZO, genus, seed, rng, surface,
+    return _quadric_section(family, genus, seed, rng, surface,
                             {"base_points": [[int(c) for c in row] for row in base]},
                             lambda quad: not surface.contains(quad))
 

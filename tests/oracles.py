@@ -4,8 +4,8 @@ Deliberately naive and numpy-free so a bug in the vectorized library path
 cannot hide in shared code: plain list-of-list Gaussian elimination over
 GF(p) and a containment test of subspaces by rank, a brute-force
 polynomial evaluator, a sampler of elliptic-curve points, brute-force
-enumerations of the GF(p)-points of every curve family and a parser of
-the exported ideal text.
+enumerations of the GF(p)-points of every curve family, a parser of the
+exported ideal text and a sieve of Eratosthenes.
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ def oracle_rref(rows: list[list[int]], p: int) -> tuple[int, list[list[int]], li
         if r == len(mat):
             break
     return r, mat[:r], pivots
+
+
+def oracle_primes_below(n: int) -> set[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    composite = [False] * n
+    for d in range(2, math.isqrt(n) + 1):
+        for multiple in range(d * d, n, d):
+            composite[multiple] = True
+    return {k for k in range(2, n) if not composite[k]}
 
 
 def oracle_rank(rows: list[list[int]], p: int) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import tracemalloc
 from math import comb
 
@@ -9,6 +10,7 @@ import pytest
 
 from syzlab import koszul, linalg
 from syzlab.errors import (
+    DimensionMismatchError,
     InvalidSyzygyError,
     ModelInconsistencyError,
     UnsupportedDegreeError,
@@ -20,16 +22,21 @@ from syzlab.koszul import (
     VERDICT_WHOLE,
     betti_table,
     classify_theorem,
-    expected_verdict,
     is_syzygy,
     linear_syzygies,
     quadrics_involved,
     syz2_span,
     syzygy_kernel,
 )
-from syzlab.linalg import DEFAULT_PRIME, rank
+from syzlab.linalg import DEFAULT_PRIME, Subspace, rank
+from syzlab.models import expected_verdict
 from syzlab.ring import GradedRing
-from syzlab.scroll import ScrollFrame, fourgonal_curve
+from syzlab.scroll import (
+    ScrollFrame,
+    fourgonal_curve,
+    restriction_targets,
+    scrollar_bidegrees,
+)
 from syzlab.surfaces import bielliptic_curve, delpezzo_curve, genus5_intersection
 from oracles import contains_space, oracle_syzygy_span
 from scroll_helpers import multiply, variable, vector
@@ -101,7 +108,7 @@ def test_span_is_inside_the_ideal_piece():
         bielliptic_curve(8, seed=71),
     ):
         ring = GradedRing(model.genus, P)
-        report = syz2_span(ring, model.quadrics, model.surface_quadrics)
+        report = syz2_span(ring, model.quadrics)
         assert contains_space(model.quadrics, report.span)
         assert report.kappa21 == _kappa21(model.genus)
 
@@ -120,9 +127,8 @@ def test_verdicts_per_family():
     assert rep.dim_span == comb(6, 2) - 1
 
     biell = bielliptic_curve(8, seed=72)
-    rep = syz2_span(ring, biell.quadrics, biell.surface_quadrics)
+    rep = syz2_span(ring, biell.quadrics)
     assert rep.verdict == VERDICT_SURFACE
-    assert rep.surface_match is True
     assert rep.span == biell.surface_quadrics
 
     g5 = genus5_intersection(seed=72)
@@ -325,3 +331,35 @@ def test_classify_theorem_records():
 
     rec = classify_theorem(genus5_intersection(seed=75))
     assert rec["passed"] and rec["verdict"] == VERDICT_WHOLE and rec["kappa21"] == 0
+
+
+# one row per DimensionMismatchError guard in src/: the call that trips it
+# and the start of its message
+_MISMATCHES = {
+    "Subspace.from_rows": (lambda: Subspace.from_rows([[1, 2]], 3, P),
+                           "rows have length 2, ambient dimension is 3"),
+    "Subspace.sum": (lambda: Subspace.zero(3, P).sum(Subspace.zero(4, P)),
+                     f"subspaces live in GF({P})^3 vs GF({P})^4"),
+    "Subspace.reduce": (lambda: Subspace.zero(3, P).reduce([1, 2]),
+                        "vector length 2 != ambient 3"),
+    "GradedRing.evaluate_monomials": (lambda: GradedRing(3, P).evaluate_monomials(2, [[1, 2]]),
+                                      "points have 2 coordinates, expected 3"),
+    "GradedRing._check_quadrics": (
+        lambda: GradedRing(4, P).multiplication_matrix(Subspace.zero(6, P)),
+        f"expected quadrics in GF({P})^10, got GF({P})^6"),
+    "koszul._check_gamma": (
+        lambda: is_syzygy(GradedRing(3, P), Subspace.zero(6, P), np.zeros((2, 0))),
+        "syzygy has shape (2, 0), expected (3, 0)"),
+    "restriction_targets": (lambda: restriction_targets(ScrollFrame((1, 1, 1)), GradedRing(7, P)),
+                            "frame needs 6 variables, ring has 7"),
+    "scrollar_bidegrees": (lambda: scrollar_bidegrees(ScrollFrame((1, 1, 1)), Subspace.zero(5, P)),
+                           "expected vectors in the twist-0 section space of dim"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_MISMATCHES))
+def test_dimension_mismatch_guards(guard):
+    call, message = _MISMATCHES[guard]
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)) as info:
+        call()
+    assert "\n" not in str(info.value)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from syzlab.linalg import (
     rank,
     rref,
 )
-from oracles import contains_space, oracle_kernel_dim, oracle_rref
+from oracles import contains_space, oracle_kernel_dim, oracle_primes_below, oracle_rref
 from scroll_helpers import solve
 
 P = 10007
@@ -35,6 +36,19 @@ def test_check_prime_rejects_composites_and_large_moduli():
     with pytest.raises(ValueError):
         check_prime(PRIME_BOUND + 7)  # even if prime, beyond int64 safety
     assert check_prime(DEFAULT_PRIME) == DEFAULT_PRIME
+
+
+def test_is_prime_matches_a_sieve():
+    primes = oracle_primes_below(2**16)
+    assert {n for n in range(-3, 2**16) if is_prime(n)} == primes
+
+
+def test_check_prime_refuses_a_large_prime_before_testing_it():
+    # trial division of 2**61 - 1 would take 2**29 steps; the bound comes first
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"must be below {PRIME_BOUND}"):
+        check_prime(2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_inverse_mod_agrees_with_fermat():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from math import comb
 
 import numpy as np
@@ -22,6 +23,7 @@ from syzlab.koszul import classify_theorem
 from syzlab.linalg import DEFAULT_PRIME, kernel_basis
 from syzlab.models import DELPEZZO, VERONESE
 from syzlab.ring import GradedRing
+from syzlab.scroll import ScrollFrame, fourgonal_curve
 from syzlab.surfaces import (
     WeierstrassCurve,
     _quadric_kernel,
@@ -193,6 +195,19 @@ def test_delpezzo_surface_dimensions_and_kind():
         assert not vals.any()
     with pytest.raises(ValueError):
         delpezzo_curve(11, seed=57)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: bielliptic_curve(5, 0), "bielliptic models have genus 6.., got 5"),
+    (lambda: delpezzo_curve(11, 0), "delpezzo models have genus 6..9, got 11"),
+    (lambda: delpezzo_curve(5, 0), "delpezzo models have genus 6..9, got 5"),
+    (lambda: fourgonal_curve(ScrollFrame((0, 1, 1)), 0, 0, 0),
+     "fourgonal models have genus 6.., got 5"),
+], ids=["bielliptic-5", "delpezzo-11", "delpezzo-5", "fourgonal-5"])
+def test_constructors_refuse_genera_outside_their_family(build, message):
+    # each family's genera are written once, in models.GENERA
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 @pytest.mark.parametrize("prime", [7, 101, 33554393])
