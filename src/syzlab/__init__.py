@@ -21,7 +21,6 @@ from .harness import (
     analyze_model,
     construct_model,
     load_model,
-    recovered_bidegrees,
     render_betti,
     theorem_sweep,
 )
@@ -39,11 +38,7 @@ from .koszul import (
 from .linalg import DEFAULT_PRIME, Subspace, kernel_basis, rank, rref
 from .models import CurveModel
 from .ring import GradedRing
-from .scroll import (
-    ScrollFrame,
-    fourgonal_curve,
-    scrollar_bidegrees,
-)
+from .scroll import ScrollFrame, fourgonal_curve
 from .surfaces import (
     WeierstrassCurve,
     bielliptic_curve,
@@ -89,11 +84,9 @@ __all__ = [
     "model_digest",
     "quadrics_involved",
     "rank",
-    "recovered_bidegrees",
     "render_betti",
     "rref",
     "save_model",
-    "scrollar_bidegrees",
     "syz2_span",
     "theorem_sweep",
 ]

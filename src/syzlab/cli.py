@@ -111,7 +111,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         save_report(report, args.out)
         print(
             f"{'PASS' if report['passed'] else 'FAIL'} kappa21 = {report['kappa21']}  "
-            f"dim_W = {report['dim_W']}  verdict = {report['verdict']}  "
+            f"dim_W = {report['dim_W']}  hilbert3 = {report['hilbert3']}  "
+            f"verdict = {report['verdict']}  "
             f"expected = {report['expected_verdict']}"
         )
         if report["betti"] is not None:

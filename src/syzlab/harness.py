@@ -34,12 +34,7 @@ from .models import (
     has_genus,
 )
 from .ring import GradedRing
-from .scroll import (
-    ScrollFrame,
-    fourgonal_curve,
-    restriction_image,
-    scrollar_bidegrees,
-)
+from .scroll import ScrollFrame, fourgonal_curve
 from .surfaces import bielliptic_curve, delpezzo_curve, genus5_intersection
 
 
@@ -158,26 +153,11 @@ def load_model(path: PathLike) -> CurveModel:
     return model_from_dict(data)
 
 
-def recovered_bidegrees(model: CurveModel) -> tuple[int, int]:
-    """Re-derive (a, b) of a stored 4-gonal model from its quadrics alone."""
-    if model.family != FOURGONAL:
-        raise ModelInconsistencyError("bidegree recovery applies to 4-gonal models")
-    frame = ScrollFrame(tuple(model.params["frame"]))
-    ring = GradedRing(model.genus, model.prime)
-    restricted = restriction_image(frame, ring, model.quadrics)
-    return scrollar_bidegrees(frame, restricted)
-
-
 def analyze_model(
     model: CurveModel,
     betti_max_p: Optional[int] = None,
 ) -> dict:
-    """Full per-model report: syzygy counts, span verdict, optional kappa grid.
-
-    For 4-gonal models the stored twists are cross-checked against the
-    bidegrees recovered from the ideal; disagreement fails the record, since
-    the expected verdict was read off twists the quadrics do not have.
-    """
+    """Full per-model report: syzygy counts, span verdict, optional kappa grid."""
     ring = GradedRing(model.genus, model.prime)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -193,14 +173,7 @@ def analyze_model(
         "kappa11": model.quadrics.dim,
         **record,
         "betti": None,
-        "bidegrees": None,
     }
-    if model.family == FOURGONAL:
-        lam = recovered_bidegrees(model)
-        report["bidegrees"] = list(lam)
-        stored = (int(model.params["a"]), int(model.params["b"]))
-        if (max(stored), min(stored)) != lam:
-            report["passed"] = False
     if betti_max_p is not None:
         t0 = time.perf_counter()
         table = betti_table(
@@ -301,7 +274,7 @@ def sweep_summary(records: list[dict]) -> str:
         lines.append(
             f"{status} g={r['genus']:2d} trial={r['trial']} {r['family']:<18} "
             f"verdict={r['verdict']:<13} expected={r['expected_verdict']:<13} "
-            f"kappa21={r['kappa21']:4d} dim_W={r['dim_W']:3d}{extra}"
+            f"kappa21={r['kappa21']:4d} dim_W={r['dim_W']:3d} hilbert3={r['hilbert3']:2d}{extra}"
         )
     n_pass = sum(r["passed"] for r in records)
     lines.append(f"{n_pass}/{len(records)} checks passed")

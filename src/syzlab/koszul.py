@@ -9,7 +9,8 @@ General kappa_{p,q} values come from the usual three-term complex
 
     wedge^{p+1} V (x) B_{q-1}  ->  wedge^p V (x) B_q  ->  wedge^{p-1} V (x) B_{q+1}
 
-with B_d the degree-d part of the coordinate ring.
+with B_d the degree-d part of the coordinate ring, read off the four
+arrays of multiplication maps B_q -> B_{q+1} that quotient_actions builds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -119,55 +120,52 @@ def syz2_span(ring: GradedRing, quadrics: Subspace) -> Syz2Report:
 # -- general Koszul cohomology -------------------------------------------------
 
 
-class _QuotientPiece(NamedTuple):
-    """Degree-d part of S/I with coordinates on the non-pivot monomials."""
+def quotient_actions(ring: GradedRing, quadrics: Subspace) -> list[np.ndarray]:
+    """[A_0, .., A_3] of B = S/(I_2): A_d[v] is the (dim B_d, dim B_{d+1})
+    matrix of f -> Z_v f.
 
-    ideal: Subspace
-    free: np.ndarray
+    B_d has coordinates on the degree-d monomials that are not pivots of
+    the ideal's degree-d piece; A_d maps each monomial's product with Z_v
+    to its normal form there.
+    """
+    ideals = [Subspace.zero(ring.dim(d), ring.prime) for d in (0, 1)]
+    ideals += [ring.ideal_piece(quadrics, d) for d in (2, 3, 4)]
+    frees = [np.delete(np.arange(ideal.ambient_dim), list(ideal.pivot_cols)) for ideal in ideals]
+    acts = []
+    for d in range(4):
+        upper, free = ideals[d + 1], frees[d + 1]
+        # row k: normal form of the k-th degree-(d+1) monomial in B_{d+1}; the
+        # pivot monomial of echelon row r is minus the rest of that row
+        normal = np.zeros((upper.ambient_dim, len(free)), dtype=np.int64)
+        normal[free, np.arange(len(free))] = 1
+        normal[list(upper.pivot_cols)] = -upper.basis[:, free] % ring.prime
+        acts.append(normal[ring.product_table(1, d)[:, frees[d]]])
+    return acts
 
 
 class _KoszulComplex:
-    """The complex wedge^p V (x) B_q of one quadric space, built on demand.
+    """The complex wedge^p V (x) B_q of a graded algebra B, read off its
+    action arrays: acts[q][v] is the matrix of multiplication by the v-th
+    variable from B_q to B_{q+1} (q = 0..3), so g and every dim B_q are
+    array shapes.
 
-    Pieces B_d (d <= 4) and action matrices B_d -> B_{d+1} are built once per
-    degree; each d_{p,q}: wedge^p V (x) B_q -> wedge^{p-1} V (x) B_{q+1} is
-    ranked once, and only its rank is kept.
+    Each d_{p,q}: wedge^p V (x) B_q -> wedge^{p-1} V (x) B_{q+1} is ranked
+    once, and only its rank is kept.
     """
 
-    def __init__(self, ring: GradedRing, quadrics: Subspace, max_entries: int):
-        self.ring = ring
-        self.quadrics = quadrics
+    def __init__(self, acts: list[np.ndarray], prime: int, max_entries: int):
+        self.acts = acts
+        self.prime = prime
         self.max_entries = max_entries
-        self._pieces: dict[int, _QuotientPiece] = {}
-        self._actions: dict[int, np.ndarray] = {}
+        self.num_vars = acts[0].shape[0]
+        self.dims = [a.shape[1] for a in acts] + [acts[-1].shape[2]]
         self._ranks: dict[tuple[int, int], int] = {}
-
-    def piece(self, degree: int) -> _QuotientPiece:
-        if degree not in self._pieces:
-            amb = self.ring.dim(degree)
-            if degree >= 2:
-                ideal = self.ring.ideal_piece(self.quadrics, degree)
-            else:
-                ideal = Subspace.zero(amb, self.ring.prime)
-            free = np.delete(np.arange(amb), list(ideal.pivot_cols))
-            self._pieces[degree] = _QuotientPiece(ideal, free)
-        return self._pieces[degree]
 
     def size(self, p_idx: int, q_idx: int) -> int:
         """dim wedge^p V (x) B_q; zero outside 0 <= p <= g, q >= 0."""
-        if not 0 <= p_idx <= self.ring.num_vars or q_idx < 0:
+        if not 0 <= p_idx <= self.num_vars or q_idx < 0:
             return 0
-        return comb(self.ring.num_vars, p_idx) * len(self.piece(q_idx).free)
-
-    def actions(self, degree: int) -> np.ndarray:
-        """(g, dim B_d, dim B_{d+1}) array: slice v is the matrix of f -> Z_v f."""
-        if degree not in self._actions:
-            lower, upper = self.piece(degree), self.piece(degree + 1)
-            # row k: normal form of the k-th degree-(d+1) monomial in B_{d+1}
-            normal = upper.ideal.reduce(np.eye(self.ring.dim(degree + 1), dtype=np.int64))
-            table = self.ring.product_table(1, degree)
-            self._actions[degree] = normal[:, upper.free][table[:, lower.free]]
-        return self._actions[degree]
+        return comb(self.num_vars, p_idx) * self.dims[q_idx]
 
     def rank_of(self, p_idx: int, q_idx: int) -> int:
         """Rank of d_{p,q}; zero when either side is zero."""
@@ -175,7 +173,7 @@ class _KoszulComplex:
         if key not in self._ranks:
             empty = not (self.size(p_idx, q_idx) and self.size(p_idx - 1, q_idx + 1))
             self._ranks[key] = (
-                0 if empty else rank(self._differential(p_idx, q_idx), self.ring.prime)
+                0 if empty else rank(self._differential(p_idx, q_idx), self.prime)
             )
         return self._ranks[key]
 
@@ -195,8 +193,8 @@ class _KoszulComplex:
 
     def _differential(self, p_idx: int, q_idx: int) -> np.ndarray:
         """Matrix of d_{p,q}, rows = domain, as int32 residues (p < 2**25)."""
-        g, prime = self.ring.num_vars, self.ring.prime
-        acts = self.actions(q_idx)
+        g, prime = self.num_vars, self.prime
+        acts = self.acts[q_idx]
         _, m, n = acts.shape
         dom_sets = list(combinations(range(g), p_idx))
         cod_sets = {T: i for i, T in enumerate(combinations(range(g), p_idx - 1))}
@@ -240,10 +238,10 @@ def betti_table(
     if not 0 <= p_max <= g:
         # columns past g are zero: the exterior powers vanish there
         raise UnsupportedDegreeError(f"p_max must lie in 0..{g}, got {p_max}")
-    complex_ = _KoszulComplex(ring, quadrics, max_entries)
+    complex_ = _KoszulComplex(quotient_actions(ring, quadrics), ring.prime, max_entries)
     if expected_genus is not None:
         for d in (2, 3, 4):
-            got = len(complex_.piece(d).free)
+            got = complex_.dims[d]
             want = (2 * d - 1) * (expected_genus - 1)
             if got != want:
                 raise ModelInconsistencyError(
@@ -310,20 +308,26 @@ def classify_theorem(model: CurveModel) -> dict:
     verdict its construction predicts: the record that analyze reports
     and verify-theorem sweeps print.
 
-    A surface-type verdict passes only if the span also has the dimension
-    of a degree-(g-1) surface ideal, binom(g-2, 2) - 1, and equals the
-    stored surface ideal when the model has one.
+    A record passes only if hilbert3 = C(g+2, 3) - g dim I_2 + kappa21 (V (x)
+    I_2 maps onto I_3 with kernel the linear syzygies) is 5(g-1), that of a
+    canonical curve; surface quadrics, a scroll's say, fail it.  A
+    surface-type verdict passes only if the span also has the dimension of
+    a degree-(g-1) surface ideal, binom(g-2, 2) - 1, and equals the stored
+    surface ideal when the model has one.
     """
-    report = syz2_span(GradedRing(model.genus, model.prime), model.quadrics)
+    g = model.genus
+    report = syz2_span(GradedRing(g, model.prime), model.quadrics)
+    hilbert3 = comb(g + 2, 3) - g * model.quadrics.dim + report.kappa21
     surface = model.surface_quadrics
     match = None if surface is None else report.span == surface
     want = expected_verdict(model)
-    ok = report.verdict == want
+    ok = report.verdict == want and hilbert3 == 5 * (g - 1)
     if want == VERDICT_SURFACE:
-        ok = ok and report.dim_span == comb(model.genus - 2, 2) - 1 and match is not False
+        ok = ok and report.dim_span == comb(g - 2, 2) - 1 and match is not False
     return {
         "kappa21": report.kappa21,
         "dim_W": report.dim_span,
+        "hilbert3": hilbert3,
         "verdict": report.verdict,
         "expected_verdict": want,
         "surface_match": match,

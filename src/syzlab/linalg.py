@@ -20,6 +20,7 @@ clears below pivots only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 
 import numpy as np
@@ -32,9 +33,11 @@ DEFAULT_PRIME = 1000003
 PRIME_BOUND = 2**25
 
 
+@cache
 def is_prime(n: int) -> bool:
     """Trial division by 2 and the odd numbers up to sqrt(n); refuses
-    n >= PRIME_BOUND, so it never tries more than 2,896 divisors."""
+    n >= PRIME_BOUND, so it never tries more than 2,896 divisors.  Each
+    answer is kept, so every ring and constructor may check its prime."""
     if n >= PRIME_BOUND:
         raise ValueError(f"modulus {n} must be below {PRIME_BOUND} (int32 residues)")
     if n < 4 or n % 2 == 0:
@@ -192,10 +195,6 @@ class Subspace:
         self._check_compatible(other)
         rows = np.vstack([self.basis, other.basis])
         return Subspace.from_rows(rows, self.ambient_dim, self.prime)
-
-    def complement(self) -> "Subspace":
-        """Annihilator under the standard dot product."""
-        return kernel_basis(self.basis, self.prime)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):

@@ -30,19 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateScrollError,
-    DimensionMismatchError,
-    EmptyLinearSystemError,
-    ModelInconsistencyError,
-)
-from .linalg import (
-    DEFAULT_PRIME,
-    Subspace,
-    check_prime,
-    kernel_basis,
-    rank,
-)
+from .errors import DegenerateScrollError, DimensionMismatchError, EmptyLinearSystemError
+from .linalg import DEFAULT_PRIME, Subspace, check_prime, kernel_basis
 from .models import FOURGONAL, CurveModel, check_genus, redraw
 from .ring import GradedRing
 
@@ -171,50 +160,6 @@ def restriction_targets(frame: ScrollFrame, ring: GradedRing) -> np.ndarray:
             i, j = j, i
         targets[m] = offsets[PAIRS.index((i, j))] + sa + sb
     return targets
-
-
-def restriction_image(frame: ScrollFrame, ring: GradedRing, quadrics: Subspace) -> Subspace:
-    """Span of the quadrics' images in the twist-0 section coordinates."""
-    out = np.zeros((section_dim(frame, 0), quadrics.dim), dtype=np.int64)
-    np.add.at(out, restriction_targets(frame, ring), quadrics.basis.T)
-    return Subspace.from_rows(out.T % ring.prime, section_dim(frame, 0), ring.prime)
-
-
-def scrollar_bidegrees(frame: ScrollFrame, restricted: Subspace) -> tuple[int, int]:
-    """Recover (lambda0, lambda1) from the restricted quadrics of a curve.
-
-    lambda0 is the largest twist j admitting a nonzero section v of 2H - jF
-    all of whose binary-monomial multiples s^i t^(j-i) v land in the given
-    (g-3)-dimensional space; by construction that space is spanned by the
-    monomial multiples of two sections of twists lambda0 and
-    lambda1 = g - 5 - lambda0.
-    """
-    g = frame.genus
-    p = restricted.prime
-    if restricted.ambient_dim != section_dim(frame, 0):
-        raise DimensionMismatchError(
-            f"expected vectors in the twist-0 section space of dim {section_dim(frame, 0)}"
-        )
-    if restricted.dim != g - 3:
-        raise ModelInconsistencyError(
-            f"restricted quadrics span dim {restricted.dim}, expected g-3 = {g - 3}"
-        )
-    annihilator = restricted.complement().basis
-    lam0 = 0
-    for j in range(1, frame.k[1] + frame.k[2] + 1):
-        if section_dim(frame, j) == 0:
-            break
-        conditions = np.vstack([annihilator[:, shift_index(frame, j, i)] for i in range(j + 1)])
-        # divisibility is monotone (s*v divides whenever v does), so the
-        # first empty twist ends the search
-        if section_dim(frame, j) - rank(conditions, p) == 0:
-            break
-        lam0 = j
-    if lam0 > g - 5:
-        raise ModelInconsistencyError(
-            f"recovered lambda0 = {lam0} exceeds the bound g-5 = {g - 5}"
-        )
-    return lam0, g - 5 - lam0
 
 
 # -- the 4-gonal curve constructor -------------------------------------------

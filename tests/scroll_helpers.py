@@ -8,7 +8,8 @@ package's kernel-of-restriction route is checked against: the 2x2 minors
 of the determinantal matrix (`scroll_minors`) and the lift of a twist-0
 section to a quadric by the split a = min(alpha, k_i) (`lift_index`).
 Neither reads `restriction_targets`; they share only the frame layout and
-`shift_index` with the package.  Polynomial products (`GradedVector`,
+`shift_index` with the package.  The constructor's second route reads its
+twists back from the quadrics alone (`recovered_bidegrees`).  Polynomial products (`GradedVector`,
 `vector`, `multiply`) are the reference for the package's table gathers.
 
 Rolling factors: with Y/W the top and bottom entries of `columns(frame)`,
@@ -31,13 +32,16 @@ from math import comb
 
 import numpy as np
 
-from syzlab.linalg import DEFAULT_PRIME, Subspace, kernel_basis, rref
+from syzlab.errors import DimensionMismatchError, ModelInconsistencyError
+from syzlab.linalg import DEFAULT_PRIME, Subspace, kernel_basis, rank, rref
 from syzlab.models import FOURGONAL, CurveModel
 from syzlab.ring import GradedRing
 from syzlab.scroll import (
     PAIRS,
     ScrollFrame,
     block_length,
+    restriction_targets,
+    section_dim,
     section_dims,
     shift_index,
 )
@@ -96,13 +100,28 @@ def _pair_index(ring: GradedRing, u: int, v: int) -> int:
     return ring.index_of(e)
 
 
-def scroll_minors(frame: ScrollFrame, ring: GradedRing) -> Subspace:
-    """Span of the 2x2 minors Y_j W_k - Y_k W_j; dimension C(g-3, 2)."""
-    rows = np.zeros((comb(frame.genus - 3, 2), ring.dim(2)), dtype=np.int64)
-    for row, ((y1, w1), (y2, w2)) in zip(rows, combinations(columns(frame), 2)):
+def minors(ring: GradedRing, cols: list[tuple[int, int]]) -> Subspace:
+    """Span of the 2x2 minors Y_j W_k - Y_k W_j of the 2-row matrix whose
+    columns are the given (top, bottom) variable pairs."""
+    rows = np.zeros((comb(len(cols), 2), ring.dim(2)), dtype=np.int64)
+    for row, ((y1, w1), (y2, w2)) in zip(rows, combinations(cols, 2)):
         row[_pair_index(ring, y1, w2)] += 1
         row[_pair_index(ring, y2, w1)] -= 1
     return Subspace.from_rows(rows % ring.prime, ring.dim(2), ring.prime)
+
+
+def scroll_minors(frame: ScrollFrame, ring: GradedRing) -> Subspace:
+    """The threefold scroll's quadrics; dimension C(g-3, 2)."""
+    return minors(ring, columns(frame))
+
+
+def surface_scroll_minors(ring: GradedRing) -> Subspace:
+    """Quadrics of the balanced rational normal surface scroll in P^(g-1),
+    two blocks of consecutive variables; dimension C(g-2, 2), that of a
+    canonical curve's quadrics."""
+    first = (ring.num_vars - 2) // 2
+    cols = [(v, v + 1) for v in range(ring.num_vars - 1) if v != first]
+    return minors(ring, cols)
 
 
 def lift_index(frame: ScrollFrame, ring: GradedRing) -> np.ndarray:
@@ -247,3 +266,63 @@ def top_row_forms(frame: ScrollFrame, ring: GradedRing, quad) -> np.ndarray | No
     products = [_times(ring, variable(ring, y), v) for y in tops for v in range(g)]
     found = solve(np.array(products).T, quad, ring.prime)
     return None if found is None else found.reshape(len(tops), g)
+
+
+# -- the twists read back from the quadrics ------------------------------------
+
+
+def complement(space: Subspace) -> Subspace:
+    """Annihilator under the standard dot product."""
+    return kernel_basis(space.basis, space.prime)
+
+
+def restriction_image(frame: ScrollFrame, ring: GradedRing, quadrics: Subspace) -> Subspace:
+    """Span of the quadrics' images in the twist-0 section coordinates."""
+    out = np.zeros((section_dim(frame, 0), quadrics.dim), dtype=np.int64)
+    np.add.at(out, restriction_targets(frame, ring), quadrics.basis.T)
+    return Subspace.from_rows(out.T % ring.prime, section_dim(frame, 0), ring.prime)
+
+
+def scrollar_bidegrees(frame: ScrollFrame, restricted: Subspace) -> tuple[int, int]:
+    """Recover (lambda0, lambda1) from the restricted quadrics of a curve.
+
+    lambda0 is the largest twist j admitting a nonzero section v of 2H - jF
+    all of whose binary-monomial multiples s^i t^(j-i) v land in the given
+    (g-3)-dimensional space; by construction that space is spanned by the
+    monomial multiples of two sections of twists lambda0 and
+    lambda1 = g - 5 - lambda0.
+    """
+    g = frame.genus
+    p = restricted.prime
+    if restricted.ambient_dim != section_dim(frame, 0):
+        raise DimensionMismatchError(
+            f"expected vectors in the twist-0 section space of dim {section_dim(frame, 0)}"
+        )
+    if restricted.dim != g - 3:
+        raise ModelInconsistencyError(
+            f"restricted quadrics span dim {restricted.dim}, expected g-3 = {g - 3}"
+        )
+    annihilator = complement(restricted).basis
+    lam0 = 0
+    for j in range(1, frame.k[1] + frame.k[2] + 1):
+        if section_dim(frame, j) == 0:
+            break
+        conditions = np.vstack([annihilator[:, shift_index(frame, j, i)] for i in range(j + 1)])
+        # divisibility is monotone (s*v divides whenever v does), so the
+        # first empty twist ends the search
+        if section_dim(frame, j) - rank(conditions, p) == 0:
+            break
+        lam0 = j
+    if lam0 > g - 5:
+        raise ModelInconsistencyError(
+            f"recovered lambda0 = {lam0} exceeds the bound g-5 = {g - 5}"
+        )
+    return lam0, g - 5 - lam0
+
+
+def recovered_bidegrees(model: CurveModel) -> tuple[int, int]:
+    """Re-derive (a, b) of a stored 4-gonal model from its quadrics alone."""
+    assert model.family == FOURGONAL, model.family
+    frame = ScrollFrame(tuple(model.params["frame"]))
+    ring = GradedRing(model.genus, model.prime)
+    return scrollar_bidegrees(frame, restriction_image(frame, ring, model.quadrics))

@@ -4,14 +4,16 @@ import dataclasses
 import json
 import time
 import warnings
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
 
 from oracles import oracle_parse_ideal_text
+from scroll_helpers import recovered_bidegrees
 
 import syzlab.harness
+from syzlab import linalg
 from syzlab.cli import main
 from syzlab.errors import GenericityExhaustedError, ModelInconsistencyError
 from syzlab.harness import (
@@ -21,7 +23,6 @@ from syzlab.harness import (
     default_split,
     load_model,
     model_from_dict,
-    recovered_bidegrees,
     render_betti,
     sweep_summary,
     theorem_sweep,
@@ -208,18 +209,37 @@ def test_default_split_and_recovery():
     assert recovered_bidegrees(model) == (3, 1)
 
 
-def test_stored_twists_that_the_quadrics_lack_fail_the_record():
-    # a model file cannot carry this (its params would not rebuild its
-    # quadrics), but a library caller can
+def test_constructed_quadrics_give_back_their_own_twists():
+    # the 4-gonal constructor's second route: its quadrics alone name the
+    # twists it stores, split or one-sided
+    for genus, options in [(9, {"a": 3, "b": 1}), (9, {}), (8, {"frame": (1, 2, 2), "a": 3, "b": 0}),
+                           (7, {"frame": (1, 1, 2), "a": 0, "b": 2})]:
+        model = construct_model("fourgonal", genus=genus, seed=87, **options)
+        a, b = model.params["a"], model.params["b"]
+        assert recovered_bidegrees(model) == (max(a, b), min(a, b))
+    # a relabelled model keeps the twists of its quadrics; the analyze
+    # report no longer reads them
     model = construct_model("fourgonal", genus=9, a=3, b=1, seed=87)
     assert analyze_model(model)["passed"] is True
     relabelled = dataclasses.replace(model, params={**model.params, "a": 2, "b": 2})
+    assert recovered_bidegrees(relabelled) == (3, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = analyze_model(relabelled)
-    assert report["bidegrees"] == [3, 1]
+    assert "bidegrees" not in report
     assert report["verdict"] == report["expected_verdict"] == "EqualsCurve"
-    assert report["passed"] is False
+
+
+def test_analyze_report_keys():
+    model = construct_model("fourgonal", genus=7, seed=3)
+    report = analyze_model(model, betti_max_p=1)
+    assert report["format_version"] == 1
+    assert set(report) == {
+        "format_version", "digest", "family", "genus", "prime", "seed", "kappa11",
+        "kappa21", "dim_W", "hilbert3", "verdict", "expected_verdict", "surface_match",
+        "passed", "betti", "timings",
+    }
+    assert report["hilbert3"] == 30 and report["passed"] is True
 
 
 def test_construct_model_validation():
@@ -300,6 +320,17 @@ def test_render_betti_marks_gaps():
     assert "truncated" in text
 
 
+def test_render_betti_golden():
+    table = {"entries": [[1, -1, 0], [0, 120, 3]], "truncated": True}
+    assert render_betti(table) == (
+        "  1    ?   --\n"
+        " --  120    3\n"
+        "(table truncated by size budget)"
+    )
+    table = {"entries": [[1, 0], [0, 5]], "truncated": False}
+    assert render_betti(table) == " 1  --\n--   5"
+
+
 def test_theorem_sweep_small_window():
     records, ok = theorem_sweep(5, 6, trials=1, seed=88)
     assert ok
@@ -309,6 +340,25 @@ def test_theorem_sweep_small_window():
     assert "PASS" in summary and "FAIL" not in summary
     with pytest.raises(ValueError):
         theorem_sweep(4, 6)
+
+
+def test_a_sweep_trial_divides_its_prime_once(monkeypatch):
+    # every ring and constructor checks the prime; only the first check
+    # runs the trial division
+    divided = []
+
+    def counting_isqrt(n):
+        divided.append(n)
+        return isqrt(n)
+
+    monkeypatch.setattr(linalg, "isqrt", counting_isqrt)
+    linalg.is_prime.cache_clear()
+    records, ok = theorem_sweep(5, 7, prime=10007)
+    assert ok and len(records) == 8 and divided == [10007]
+    with pytest.raises(ValueError, match="odd prime, got 10001"):
+        theorem_sweep(5, 5, prime=10001)  # 73 * 137: a cached refusal still refuses
+    with pytest.raises(ValueError, match="odd prime, got 10001"):
+        construct_model("genus5", prime=10001)
 
 
 def test_sweep_labels_each_model_by_its_family():

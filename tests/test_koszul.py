@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 import tracemalloc
 from math import comb
@@ -25,21 +26,17 @@ from syzlab.koszul import (
     is_syzygy,
     linear_syzygies,
     quadrics_involved,
+    quotient_actions,
     syz2_span,
     syzygy_kernel,
 )
 from syzlab.linalg import DEFAULT_PRIME, Subspace, rank
-from syzlab.models import expected_verdict
+from syzlab.models import CurveModel, expected_verdict
 from syzlab.ring import GradedRing
-from syzlab.scroll import (
-    ScrollFrame,
-    fourgonal_curve,
-    restriction_targets,
-    scrollar_bidegrees,
-)
+from syzlab.scroll import ScrollFrame, fourgonal_curve, restriction_targets
 from syzlab.surfaces import bielliptic_curve, delpezzo_curve, genus5_intersection
 from oracles import contains_space, oracle_syzygy_span
-from scroll_helpers import multiply, variable, vector
+from scroll_helpers import multiply, scrollar_bidegrees, surface_scroll_minors, variable, vector
 
 P = DEFAULT_PRIME
 
@@ -279,7 +276,8 @@ def test_differential_and_its_rank_fit_in_one_and_a_half_int64_copies():
     and rank's working matrix are int64.
     """
     model = construct_model("fourgonal", genus=7, seed=0)
-    complex_ = koszul._KoszulComplex(GradedRing(7, P), model.quadrics, 10**7)
+    acts = quotient_actions(GradedRing(7, P), model.quadrics)
+    complex_ = koszul._KoszulComplex(acts, P, 10**7)
     mat = complex_._differential(4, 3)
     assert mat.shape == (1050, 1470)
     tracemalloc.start()
@@ -298,6 +296,96 @@ def test_betti_table_rejects_wrong_hilbert_function():
     ring = GradedRing(5, P)
     with pytest.raises(ModelInconsistencyError):
         betti_table(ring, model.quadrics, expected_genus=6)
+
+
+def test_a_budget_skips_exactly_the_cells_whose_maps_exceed_it():
+    # a cell is skipped when d_{p,q} or d_{p+1,q-1} would have more than
+    # 2,000 entries; at genus 6 dim B_q = 1, 6, 15, 25, 35 for q = 0..4
+    model = _genus6_model()
+    ring = GradedRing(6, P)
+    table = betti_table(ring, model.quadrics, p_max=6, max_entries=2_000)
+    skipped = {(int(q), int(p)) for q, p in np.argwhere(table.entries == -1)}
+    assert skipped == {(1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3), (2, 4),
+                       (2, 5), (2, 6), (3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6)}
+    full = betti_table(ring, model.quadrics, p_max=6).entries
+    kept = table.entries != -1
+    assert table.truncated and np.array_equal(table.entries[kept], full[kept])
+
+
+def test_check_identities_requires_column_g_minus_1_to_be_zero():
+    # the genus-6 grid with its zero column p = g - 1 = 5 passes; one
+    # nonzero cell there is dual to the empty column p = -1
+    entries = np.array([[1, 0, 0, 0, 0, 0],
+                        [0, 6, 5, 0, 0, 0],
+                        [0, 0, 5, 6, 0, 0],
+                        [0, 0, 0, 0, 1, 0]])
+    koszul._check_identities(entries, 6)
+    entries[3, 5] = 1
+    with pytest.raises(ModelInconsistencyError, match="kappa_5,3 = 1 but its dual kappa_-1,0 = 0"):
+        koszul._check_identities(entries, 6)
+
+
+def test_quotient_actions_are_normal_forms_of_products():
+    # A_d[v] row i: Z_v times the i-th free degree-d monomial, reduced by
+    # the ideal's degree-(d+1) piece, which leaves it on the free monomials
+    model = construct_model("fourgonal", genus=7, seed=3)
+    ring = GradedRing(7, P)
+    acts = quotient_actions(ring, model.quadrics)
+    ideals = [Subspace.zero(ring.dim(d), P) if d < 2 else ring.ideal_piece(model.quadrics, d)
+              for d in range(5)]
+    frees = [[k for k in range(ideal.ambient_dim) if k not in ideal.pivot_cols] for ideal in ideals]
+    for d in range(4):
+        table = ring.product_table(1, d)
+        assert acts[d].shape == (7, len(frees[d]), len(frees[d + 1]))
+        for v in range(7):
+            for i, monomial in enumerate(frees[d]):
+                normal = ideals[d + 1].reduce(np.eye(ring.dim(d + 1), dtype=np.int64)[table[v, monomial]])
+                assert not normal[list(ideals[d + 1].pivot_cols)].any()
+                assert np.array_equal(normal[frees[d + 1]], acts[d][v, i])
+
+
+def test_the_complex_of_the_polynomial_ring_is_exact():
+    # S itself: zero quadrics, so B_q = S_q and only kappa_{0,0} survives
+    ring = GradedRing(4, P)
+    acts = quotient_actions(ring, Subspace.zero(ring.dim(2), P))
+    assert [a.shape for a in acts] == [(4, ring.dim(d), ring.dim(d + 1)) for d in range(4)]
+    complex_ = koszul._KoszulComplex(acts, P, 10**6)
+    grid = [[complex_.kappa(p_idx, q_idx) for p_idx in range(5)] for q_idx in range(4)]
+    assert grid == [[1, 0, 0, 0, 0]] + [[0] * 5] * 3
+
+
+def _sum_of_cubes_actions(n: int) -> list[np.ndarray]:
+    """Action arrays of the Artinian Gorenstein algebra with h-vector
+    (1, n, n, 1) apolar to y_1^3 + ... + y_n^3: B_1 has basis x_v, B_2 the
+    x_v^2, B_3 the socle, and x_u x_v = 0 for u != v."""
+    eye = np.eye(n, dtype=np.int64)
+    return [
+        eye[:, None, :],  # 1 -> x_v
+        np.einsum("vu,vw->vuw", eye, eye),  # T[v]: x_u -> delta_uv x_v^2
+        eye[:, :, None],  # x_u^2 -> delta_uv socle
+        np.zeros((n, 1, 0), dtype=np.int64),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_an_artinian_gorenstein_grid_is_self_dual(n):
+    acts = _sum_of_cubes_actions(n)
+    for q_idx in range(3):
+        # the multiplications commute, so the arrays define an algebra
+        for u in range(n):
+            for v in range(n):
+                assert np.array_equal(acts[q_idx][u] @ acts[q_idx + 1][v],
+                                      acts[q_idx][v] @ acts[q_idx + 1][u])
+    complex_ = koszul._KoszulComplex(acts, P, 10**6)
+    kappa = {(p_idx, q_idx): complex_.kappa(p_idx, q_idx)
+             for p_idx in range(n + 1) for q_idx in range(4)}
+    assert kappa[0, 0] == kappa[n, 3] == 1
+    assert all(kappa[p, q] == kappa[n - p, 3 - q] for p, q in kappa)
+    h = [1, n, n, 1]
+    for k in range(n + 4):
+        cells = [(p, k - p) for p in range(n + 1) if 0 <= k - p <= 3]
+        assert (sum((-1) ** p * kappa[p, q] for p, q in cells)
+                == sum((-1) ** p * comb(n, p) * h[q] for p, q in cells))
 
 
 def test_betti_table_truncates_under_budget():
@@ -333,8 +421,75 @@ def test_classify_theorem_records():
     assert rec["passed"] and rec["verdict"] == VERDICT_WHOLE and rec["kappa21"] == 0
 
 
-# one row per DimensionMismatchError guard in src/: the call that trips it
-# and the start of its message
+def test_hilbert3_of_every_family():
+    # the cubic Hilbert function of a canonical curve, 5(g - 1)
+    for model, want in [
+        (genus5_intersection(seed=77), 20),
+        (bielliptic_curve(7, seed=77), 30),
+        (delpezzo_curve(7, seed=77), 30),
+        (delpezzo_curve(10, seed=77), 45),
+        (fourgonal_curve(ScrollFrame((1, 2, 2)), 2, 1, seed=77), 35),
+        (fourgonal_curve(ScrollFrame((1, 1, 2)), 2, 0, seed=77), 30),
+    ]:
+        rec = classify_theorem(model)
+        assert rec["hilbert3"] == want and rec["passed"], model.family
+
+
+@pytest.mark.parametrize("genus, twist, kappa21", [(7, 1, 20), (11, 3, 168)])
+def test_a_surface_scroll_fails_through_hilbert3(genus, twist, kappa21):
+    # the balanced surface scroll's minors have the dimension C(g-2, 2) of
+    # a canonical curve's quadrics and the span verdict of a split 4-gonal
+    # curve, but they cut a surface: hilbert3 = 6g - 8
+    model = CurveModel(
+        family="fourgonal", genus=genus, prime=P, seed=0,
+        quadrics=surface_scroll_minors(GradedRing(genus, P)),
+        params={"frame": list(ScrollFrame.balanced(genus).k), "a": twist, "b": twist},
+    )
+    rec = classify_theorem(model)
+    assert rec["verdict"] == rec["expected_verdict"] == VERDICT_CURVE
+    assert rec["kappa21"] == kappa21 and rec["hilbert3"] == 6 * genus - 8
+    assert rec["passed"] is False
+
+
+@pytest.mark.parametrize("family", ["delpezzo", "bielliptic", "fourgonal"])
+def test_the_veronese_surface_fails_through_hilbert3(family):
+    # the 2x2 minors of a symmetric 3x3 matrix of linear forms: the quadrics
+    # of the Veronese surface in P^5, as many as a genus-6 curve has
+    ring = GradedRing(6, P)
+    sym = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
+    rows = []
+    for (r1, r2), (c1, c2) in itertools.product(itertools.combinations(range(3), 2), repeat=2):
+        row = np.zeros(ring.dim(2), dtype=np.int64)
+        for sign, entries in ((1, ((r1, c1), (r2, c2))), (-1, ((r1, c2), (r2, c1)))):
+            exponent = np.zeros(6, dtype=np.int64)
+            np.add.at(exponent, [sym[r][c] for r, c in entries], 1)
+            row[ring.index_of(exponent)] += sign
+        rows.append(row % P)
+    quadrics = Subspace.from_rows(rows, ring.dim(2), P)
+    params = {"frame": [0, 1, 2], "a": 1, "b": 0} if family == "fourgonal" else {}
+    model = CurveModel(family=family, genus=6, prime=P, seed=0, quadrics=quadrics, params=params)
+    rec = classify_theorem(model)
+    assert rec["kappa21"] == 8 and rec["hilbert3"] == 28 and rec["passed"] is False
+
+
+def test_a_dropped_syzygy_fails_through_hilbert3(monkeypatch):
+    model = fourgonal_curve(ScrollFrame((1, 2, 2)), 2, 1, seed=78)
+    before = classify_theorem(model)
+    assert before["passed"] and before["hilbert3"] == 35
+
+    def one_short(ring, quadrics):
+        ker = syzygy_kernel(ring, quadrics)
+        return Subspace.from_rows(ker.basis[1:], ker.ambient_dim, ker.prime)
+
+    monkeypatch.setattr(koszul, "syzygy_kernel", one_short)
+    after = classify_theorem(model)
+    assert after["verdict"] == after["expected_verdict"] == before["verdict"]
+    assert after["dim_W"] == before["dim_W"]
+    assert after["hilbert3"] == 34 and after["passed"] is False
+
+
+# one row per DimensionMismatchError guard in src/, and in the test-only
+# bidegree recovery: the call that trips it and the start of its message
 _MISMATCHES = {
     "Subspace.from_rows": (lambda: Subspace.from_rows([[1, 2]], 3, P),
                            "rows have length 2, ambient dimension is 3"),

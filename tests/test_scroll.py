@@ -19,9 +19,11 @@ from scroll_helpers import (
     fourgonal_sections,
     lift_index,
     lifted_multiple,
+    restriction_image,
     rolling_syzygy,
     scroll_minors,
     scroll_points,
+    scrollar_bidegrees,
     section_blocks,
     top_row_forms,
     var_index,
@@ -40,9 +42,7 @@ from syzlab.scroll import (
     ScrollFrame,
     check_twists,
     fourgonal_curve,
-    restriction_image,
     restriction_targets,
-    scrollar_bidegrees,
     section_dim,
     section_dims,
     shift_index,

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import contains_space, oracle_rank, oracle_rref, oracle_solve_membership
+from scroll_helpers import complement
 
 from syzlab.linalg import Subspace, kernel_basis
 
@@ -99,9 +100,9 @@ def test_reduce_and_contains(p, data):
 def test_complement(p, data):
     n = _ncols(data)
     space = _space(_rows(data, p, n), n, p)
-    comp = space.complement()
+    comp = complement(space)
     assert space.dim + comp.dim == n
-    assert comp.complement() == space
+    assert complement(comp) == space
     assert not (space.basis @ comp.basis.T % p).any()
 
 
