@@ -9,8 +9,9 @@ of the determinantal matrix (`scroll_minors`) and the lift of a twist-0
 section to a quadric by the split a = min(alpha, k_i) (`lift_index`).
 Neither reads `restriction_targets`; they share only the frame layout and
 `shift_index` with the package.  The constructor's second route reads its
-twists back from the quadrics alone (`recovered_bidegrees`).  Polynomial products (`GradedVector`,
-`vector`, `multiply`) are the reference for the package's table gathers.
+twists back from the quadrics alone (`recovered_bidegrees`).  Polynomial
+products (`GradedVector`, `vector`, `multiply`) are the reference for the
+package's table gathers.
 
 Rolling factors: with Y/W the top and bottom entries of `columns(frame)`,
 A_j linear forms and alpha_j scalars, put q1 = sum_j A_j Y_j,
@@ -119,8 +120,8 @@ def surface_scroll_minors(ring: GradedRing) -> Subspace:
     """Quadrics of the balanced rational normal surface scroll in P^(g-1),
     two blocks of consecutive variables; dimension C(g-2, 2), that of a
     canonical curve's quadrics."""
-    first = (ring.num_vars - 2) // 2
-    cols = [(v, v + 1) for v in range(ring.num_vars - 1) if v != first]
+    a = (ring.num_vars - 2) // 2  # S(a, g-2-a): blocks Z_0..Z_a and Z_(a+1)..Z_(g-1)
+    cols = [(v, v + 1) for v in range(ring.num_vars - 1) if v != a]
     return minors(ring, cols)
 
 
